@@ -16,12 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import (
     EmptySetError,
     RadiusTooSmallError,
     UndecidablePairError,
 )
 from .intset import (
+    INT64_MAX,
+    INT64_MIN,
     BEPSet,
     CofiniteSet,
     FamilySet,
@@ -38,6 +42,7 @@ from .intset import (
     smallest_abs_elements,
 )
 from .sumset import (
+    CoverageMask,
     bep_sumset,
     closed_form,
     complement_set,
@@ -534,38 +539,114 @@ def removal_growth(
     win = window or DEFAULT_WINDOW
     base = windowed_sumset(w, c, win, radius)
     after = windowed_sumset(w, minus(c, removed), win, radius)
+    return _window_loss(base, after, win)
+
+
+def _bit_positions(bits: int) -> list[int]:
+    """Indices of the set bits of a nonnegative int, ascending."""
+    if not bits:
+        return []
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+
+
+def _inner(win: Window, margin: int) -> Window | None:
+    """The part of the window a growth must stay inside to count as enclosed."""
+    return win.shrink(margin + max(8, len(win) // 20))
+
+
+def _enclosed(growth: list[int], inner: Window | None) -> bool:
+    return inner is not None and all(t in inner for t in growth)
+
+
+def _window_loss(
+    base: CoverageMask, after: CoverageMask, win: Window
+) -> tuple[list[int], bool, Window | None]:
+    """The removal_growth triple for two masks over the same window."""
     margin = max(base.interior_margin, after.interior_margin)
-    slack = max(8, len(win) // 20)
     trusted = win.shrink(margin)
     if trusted is None:
         return [], False, None
-    growth = [
-        t
-        for t in trusted
-        if base.covered(t) and not after.covered(t)
+    lost = ((base.bits & ~after.bits) >> margin) & ((1 << len(trusted)) - 1)
+    growth = [trusted.lo + j for j in _bit_positions(lost)]
+    return growth, _enclosed(growth, _inner(win, margin)), trusted
+
+
+def _sole_losses(nw: IntSet, nc: IntSet, win: Window) -> dict[int, list[int]] | None:
+    """Every single-element loss of w + c on the window from one counting pass.
+
+    Needs a finite operand F (the smaller one when both are finite); the
+    other operand O is enumerated once per shift f in F, so the cost is
+    O(|F| * |window|) whatever the diameter of F.  Counting the
+    representations t = w + c' of each window point t, and keeping the c'
+    of the last one, maps each c to the points whose only representation
+    uses it: exactly the points that removing c uncovers, since both sums
+    are exact on the whole window.  None when neither operand is finite,
+    or when a shifted window would leave the signed 64-bit range.
+    """
+    finite_ops = [
+        (f, o, f_is_c)
+        for f, o, f_is_c in ((nc, nw, True), (nw, nc, False))
+        if isinstance(f, FiniteSet)
     ]
-    inner = win.shrink(margin + slack)
-    if inner is None:
-        return growth, False, trusted
-    enclosed = all(t in inner for t in growth)
-    return growth, enclosed, trusted
+    if not finite_ops:
+        return None
+    fs, other, f_is_c = min(finite_ops, key=lambda p: len(p[0].elements))
+    if win.lo - fs.elements[-1] < INT64_MIN or win.hi - fs.elements[0] > INT64_MAX:
+        return None
+    count = np.zeros(len(win), np.int64)
+    sole = np.zeros(len(win), np.int64)
+    for f in fs.elements:
+        lo = win.lo - f
+        pts = enumerate_window(other, Window(lo, win.hi - f))
+        if not pts:
+            continue
+        # relative indices in Python ints, so no i64 arithmetic near the limits
+        idx = np.array([t - lo for t in pts], np.int64)
+        count[idx] += 1
+        sole[idx] = f if f_is_c else np.array(pts, np.int64)
+    hit = np.flatnonzero(count == 1)
+    losses: dict[int, list[int]] = {}
+    for j, x in zip(hit.tolist(), sole[hit].tolist()):
+        losses.setdefault(x, []).append(win.lo + j)
+    return losses
 
 
 def redundant_elements(
     w: IntSet, c: IntSet, window: Window | None = None, radius: int | None = None
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Elements of c (within the window) whose removal costs only a finite,
-    fully-enclosed set of newly uncovered points; each comes with that set."""
+    fully-enclosed set of newly uncovered points; each comes with that set.
+
+    With a finite operand (after normalization) every loss comes from one
+    representation-count pass: removing c uncovers exactly the points t
+    whose only representation t = w + c' has c' = c (Nathanson's criterion
+    for essential elements).  That pass is exact on the whole window and
+    costs O(|F| * |window|) for the finite operand F.  Otherwise (or when a
+    window shifted by F would leave the signed 64-bit range) the sumset is
+    computed once and once more per removal, as in removal_growth; when the
+    first cannot be computed no element is reported.
+    """
     win = window or DEFAULT_WINDOW
-    nc = normalize(c)
-    out: list[tuple[int, tuple[int, ...]]] = []
-    for x in enumerate_window(nc, win):
-        if isinstance(nc, FiniteSet) and len(nc.elements) == 1:
-            break
+    nw, nc = normalize(w), normalize(c)
+    xs = enumerate_window(nc, win)
+    if not xs or (isinstance(nc, FiniteSet) and len(nc.elements) == 1):
+        return []
+    losses = _sole_losses(nw, nc, win)
+    if losses is not None:
+        inner = _inner(win, 0)
+        return [(x, tuple(g)) for x in xs if _enclosed(g := losses.get(x, []), inner)]
+    try:
+        base = windowed_sumset(nw, nc, win, radius)
+    except (UndecidablePairError, RadiusTooSmallError, EmptySetError):
+        return []
+    out = []
+    for x in xs:
         try:
-            growth, enclosed, trusted = removal_growth(w, nc, {x}, win, radius)
+            after = windowed_sumset(nw, minus(nc, {x}), win, radius)
         except (UndecidablePairError, RadiusTooSmallError, EmptySetError):
             continue
-        if trusted is not None and enclosed:
+        growth, enclosed, _ = _window_loss(base, after, win)
+        if enclosed:
             out.append((x, tuple(growth)))
     return out

@@ -3,11 +3,17 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from addcomp.errors import EmptySetError, RadiusTooSmallError, UndecidablePairError
 from addcomp.intset import (
+    FiniteSet,
     Window,
     above,
     ap,
     below,
+    blocks10_family,
     cofinite,
     contains,
     enumerate_window,
@@ -17,6 +23,7 @@ from addcomp.intset import (
     lemma44_set,
     minus,
     nonprimes,
+    normalize,
     subgroup_set,
     translate,
     union,
@@ -33,7 +40,7 @@ from addcomp.predicates import (
     removal_growth,
 )
 from addcomp.search import greedy_asymptotic_complement
-from addcomp.sumset import pointwise_hit
+from addcomp.sumset import pointwise_hit, windowed_sumset
 
 
 def test_complement_nonprimes_triple():
@@ -175,6 +182,122 @@ def test_removal_growth_enclosed():
         assert enclosed
         for t in growth:
             assert pointwise_hit(w, minus(c, {x}), t) is False
+
+
+def _redundant_by_definition(w, c, win, radius=None):
+    """redundant_elements spelled out: one removal_growth per element."""
+    nc = normalize(c)
+    out = []
+    for x in enumerate_window(nc, win):
+        if isinstance(nc, FiniteSet) and len(nc.elements) == 1:
+            break
+        try:
+            growth, enclosed, trusted = removal_growth(w, nc, {x}, win, radius)
+        except (UndecidablePairError, RadiusTooSmallError, EmptySetError):
+            continue
+        if trusted is not None and enclosed:
+            out.append((x, tuple(growth)))
+    return out
+
+
+_small_finite = st.lists(st.integers(-12, 12), min_size=1, max_size=5).map(finite)
+
+
+@st.composite
+def _finite_vs_other(draw):
+    """A finite operand against one of each descriptor kind, either way
+    round, on a window that may sit far out or be too narrow to enclose."""
+    fin = draw(_small_finite)
+    kind = draw(st.sampled_from(["finite", "cofinite", "ap", "nonprimes", "family"]))
+    lo = draw(st.integers(-60, 60))
+    if kind == "finite":
+        other = finite(draw(st.lists(st.integers(-40, 40), min_size=2, max_size=30)))
+    elif kind == "cofinite":
+        other = cofinite(draw(st.lists(st.integers(-20, 20), max_size=4)))
+    elif kind == "ap":
+        mod = draw(st.integers(1, 5))
+        side = draw(st.sampled_from(["above", "below"]))
+        other = ap(draw(st.integers(0, mod - 1)), mod, side, draw(st.integers(-20, 20)))
+    elif kind == "nonprimes":
+        if draw(st.booleans()):
+            other = minus(nonprimes(), {draw(st.sampled_from([4, 9, 15, 25]))})
+        else:
+            other = union(nonprimes(), finite([draw(st.sampled_from([2, 3, 7, 13]))]))
+        lo += draw(st.sampled_from([0, 10**11]))
+    else:
+        other = draw(st.sampled_from([lemma44_set(), blocks10_family()]))
+    narrow = draw(st.sampled_from([True, False, False, False]))
+    width = draw(st.integers(0, 16) if narrow else st.integers(17, 90))
+    win = Window(lo, lo + width)
+    if draw(st.booleans()):
+        return fin, other, win
+    return other, fin, win
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite_vs_other())
+def test_redundant_elements_matches_definition(case):
+    w, c, win = case
+    assert redundant_elements(w, c, win) == _redundant_by_definition(w, c, win)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_finite_vs_other(), st.integers(0, 200), st.sampled_from([None, 15, 40]))
+def test_removal_growth_matches_pointwise_decode(case, pick, radius):
+    w, c, win = case
+    if radius is not None:
+        # neither operand finite: the radius route, with an edge margin
+        w, c = lemma44_set(), (w if isinstance(normalize(c), FiniteSet) else c)
+    cs = enumerate_window(normalize(c), Window(win.lo - 40, win.hi + 40))
+    if len(cs) < 2:
+        return
+    x = cs[pick % len(cs)]
+    try:
+        base = windowed_sumset(w, c, win, radius)
+        after = windowed_sumset(w, minus(c, {x}), win, radius)
+    except (UndecidablePairError, RadiusTooSmallError):
+        return
+    growth, _, trusted = removal_growth(w, c, {x}, win, radius)
+    if trusted is None:
+        assert growth == []
+    else:
+        assert growth == [t for t in trusted if base.covered(t) and not after.covered(t)]
+
+
+def test_redundant_without_finite_operand_pinned():
+    """Neither operand finite: the radius route, one base sumset for all."""
+    w, c = lemma44_set(), ap(0, 3, "above", -3)
+    out = redundant_elements(w, c, Window(-10, 150), 30)
+    assert out[:10] == [
+        (0, (78, 79, 80)), (3, ()), (6, ()), (9, ()), (12, (55,)),
+        (15, (58,)), (18, (61,)), (21, (64,)), (24, (67,)), (27, (70,)),
+    ]
+    assert out[10:] == [(t, ()) for t in range(33, 151, 3)]
+    assert out == _redundant_by_definition(w, c, Window(-10, 150), 30)
+    # without a radius the base sumset is undecidable, so nothing is reported
+    assert redundant_elements(w, c, Window(-10, 150)) == []
+
+
+def test_redundant_counting_far_apart_finite_operand():
+    """A finite operand of huge diameter costs its size times the window."""
+    w = finite([-10**12, 10**12])
+    c = finite([-10**12 + 1, 0, 10**12 - 2, 10**12])
+    win = Window(-40, 40)
+    assert redundant_elements(w, c, win) == _redundant_by_definition(w, c, win)
+
+
+def test_redundant_far_window_against_cofinite():
+    """Far out, each window point's representations are counted directly."""
+    w, c = finite([-3, 10]), cofinite([-8, 13])
+    win = Window(10**11 + 209, 10**11 + 338)
+    slack = max(8, len(win) // 20)
+    reps = {t: [t - a for a in (-3, 10) if contains(c, t - a)] for t in win}
+    expected = []
+    for x in win:
+        growth = tuple(t for t in win if reps[t] == [x])
+        if all(win.lo + slack <= t <= win.hi - slack for t in growth):
+            expected.append((x, growth))
+    assert redundant_elements(w, c, win) == expected
 
 
 def test_minimal_implies_complement():
