@@ -1,0 +1,148 @@
+"""Golden CLI corpus: stdout and exit code of a fixed set of commands.
+
+Each case replays ``cli.main(argv)`` in-process and compares its stdout and
+exit code byte for byte against ``golden/cli_corpus.json``.  The corpus
+holds refactors to identical output; a change that means to alter output
+regenerates it with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+and the diff of the data file shows what changed.  The runtime column of
+``search`` is masked, and ``verify-paper`` (timings in every row) is left out.
+"""
+from __future__ import annotations
+
+import contextlib
+import functools
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from addcomp.cli import main
+
+CORPUS = Path(__file__).parent / "golden" / "cli_corpus.json"
+
+NP = "nonprimes"
+F01 = "finite{0,1}"
+UP3 = "ap(res=0, mod=3, side=above, from=0)"
+ODD_BELOW = "ap(res=1, mod=2, side=below, from=0)"
+
+_CASES = [
+    ["eval", "--set", "union(finite{1,2}, above(8))", "--window", "0:12"],
+    ["eval", "--set", NP, "--window", "90:130"],
+    ["eval", "--set", "family(lemma43)", "--window", "-20:80"],
+    ["eval", "--set", "ap(res=1, mod=3, side=below, from=5)", "--window", "-20:20"],
+    ["eval", "--set", "minus(below(0), finite{-5})", "--window", "-10:2"],
+    ["eval", "--set", "family(blocks10-complement)", "--window", "0:40"],
+    ["eval", "--set", "neg(translate(cofinite{0,3}, 2))", "--window", "-8:8"],
+    ["eval", "--set", "family(generic, lenI=k, lenJ=k+1, origin=3)", "--window", "0:60"],
+    ["sumset", "--w", NP, "--c", F01, "--window", "0:60"],
+    ["sumset", "--w", "family(lemma43)", "--c", "family(lemma43)",
+     "--window", "-50:50", "--radius", "30"],
+    ["sumset", "--w", NP, "--c", "family(blocks10)", "--window", "100:160", "--radius", "12"],
+    ["sumset", "--w", UP3, "--c", F01, "--window", "-20:20", "--brute"],
+    ["sumset", "--w", UP3, "--c", "below(2)", "--window", "-20:20", "--brute", "--radius", "15"],
+    ["sumset", "--w", "cofinite{0,2}", "--c", F01, "--window", "-10:10"],
+    ["sumset", "--w", ODD_BELOW, "--c", UP3, "--window", "-30:30"],
+    ["sumset", "--w", "family(lemma43)", "--c", "finite{0,5,9,14}", "--window", "-40:120"],
+    ["check", "--w", NP, "--c", F01, "--predicate", "complement"],
+    ["check", "--w", NP, "--c", F01, "--predicate", "ac"],
+    ["check", "--w", NP, "--c", F01, "--predicate", "aes"],
+    ["check", "--w", NP, "--c", F01, "--predicate", "mc", "--window", "-300:300"],
+    ["check", "--w", NP, "--c", F01, "--predicate", "mac", "--window", "-1000:1000"],
+    ["check", "--w", "family(lemma43)", "--c", "family(lemma43)", "--predicate", "complement"],
+    ["check", "--w", "family(lemma43)", "--c", "family(lemma43)",
+     "--predicate", "ac", "--radius", "40", "--window", "-200:200"],
+    ["check", "--w", "cofinite{0,2}", "--c", F01, "--predicate", "complement"],
+    ["check", "--w", "cofinite{0,2}", "--c", F01, "--predicate", "mc"],
+    ["check", "--w", ODD_BELOW, "--c", UP3, "--predicate", "aes"],
+    ["check", "--w", "family(lemma43)", "--c", "finite{0,5,9,14}", "--predicate", "mac",
+     "--window", "-1000:4200"],
+    ["check", "--w", "family(blocks10-complement)", "--c", "finite{0,5,9}",
+     "--predicate", "ac", "--window", "-500:500"],
+    ["check", "--w", "family(generic, lenI=k, lenJ=k+1)", "--c", "finite{0,1,2}",
+     "--predicate", "ac"],
+    ["shrink", "--method", "ep", "--w", "above(-1)", "--c", "below(1)", "--pair", "-5,-3"],
+    ["shrink", "--method", "interval", "--w", "family(lemma43)", "--c", "finite{0,7,13}",
+     "--triple", "0,7,13"],
+    ["shrink", "--method", "thmD", "--w", "family(blocks10-complement)",
+     "--c", "finite{0,5,9}", "--triple", "0,5,9", "--horizon", "3000"],
+    ["shrink", "--method", "thmD", "--w", "minus(above(0), finite{2,4,8,16,32,64,128,256,512})",
+     "--c", "below(1)", "--triple", "-3,-2,0", "--horizon", "600"],
+    ["construct", "thmA2", "--w", "cofinite{0,2}"],
+    ["construct", "masc", "--n", "3", "--c", "ap(res=0, mod=2, side=above, from=-1)"],
+    ["construct", "fim", "--w", "union(ap(res=0, mod=4, side=above, from=-1), "
+     "union(ap(res=0, mod=4, side=below, from=1), finite{1}))"],
+    ["construct", "greedy", "--w", "finite{0,3,4}", "--target", "-30:30"],
+    ["construct", "builtin", "--name", "thmC", "--variant", "4", "--a", "0", "--n", "2"],
+    ["construct", "builtin", "--name", "lemma44"],
+    ["search", "--w", "cofinite{0}", "--c", F01],
+    ["search", "--w", UP3, "--c", "finite{0,1,2,4}"],
+    ["gaps", "--set", "family(blocks10-complement)", "--horizon", "2000"],
+    ["gaps", "--set", NP, "--horizon", "3000"],
+    ["gaps", "--set", "family(lemma43)", "--horizon", "5000"],
+]
+
+# usage and domain errors: stdout is empty, the exit code is the contract
+_ERRORS = [
+    ["check", "--w", "finite{0}"],
+    ["eval", "--set", "finite{1,"],
+    ["eval", "--set", "ap(res=1, mod=0, side=below, from=2)"],
+    ["nonsense"],
+    ["construct", "masc", "--n", "3"],
+    ["shrink", "--method", "ep", "--w", "above(-1)", "--c", "below(1)", "--pair", "1,2,3"],
+    ["sumset", "--w", "family(lemma43)", "--c", "family(lemma43)", "--window", "0:10"],
+    ["shrink", "--method", "thmD", "--w", "minus(above(0), finite{4,9})",
+     "--c", "below(1)", "--triple", "-9,-1,0", "--horizon", "500"],
+    ["shrink", "--method", "interval", "--w", "family(lemma43)", "--c", "finite{0,7,13}",
+     "--triple", "0,5,13"],
+    ["construct", "fim", "--w", "cofinite{1}", "--n", "1"],
+    ["eval", "--set", "finite{99999999999999999999}"],
+]
+
+CASES = [argv + fmt for argv in _CASES for fmt in ([], ["--json"])] + _ERRORS
+
+
+def _mask(argv: list[str], out: str) -> str:
+    """Blank the one wall-clock field, the runtime of ``search``."""
+    if argv[0] != "search":
+        return out
+    if "--json" in argv:
+        return re.sub(r'"runtimeMs": \d+', '"runtimeMs": 0', out)
+    return re.sub(r"\t\d+$", "\t0", out, flags=re.M)
+
+
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": argv, "exit": code, "stdout": _mask(argv, out.getvalue())}
+
+
+@functools.cache
+def _load() -> list[dict]:
+    return json.loads(CORPUS.read_text())
+
+
+@pytest.mark.parametrize("idx", range(len(CASES)), ids=lambda i: f"{i:02d}-{CASES[i][0]}")
+def test_golden_cli(idx):
+    want = _load()[idx]
+    assert want["argv"] == CASES[idx], "corpus is out of step with CASES; regenerate it"
+    got = run(CASES[idx])
+    assert got["exit"] == want["exit"], CASES[idx]
+    assert got["stdout"] == want["stdout"], CASES[idx]
+
+
+def test_golden_corpus_exercises_every_exit_code():
+    codes = {case["exit"] for case in _load()}
+    assert {0, 1, 2, 64, 65} <= codes
+
+
+if __name__ == "__main__":
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps([run(argv) for argv in CASES], indent=1) + "\n")
+    print(f"wrote {len(CASES)} cases to {CORPUS}", file=sys.stderr)
