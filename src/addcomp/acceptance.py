@@ -48,7 +48,7 @@ from .search import (
     greedy_asymptotic_complement,
     minimal_subset_search,
 )
-from .sumset import bep_sumset, window_bits, windowed_sumset
+from .sumset import CoverageMask, bep_sumset, flag_points, window_bits, windowed_sumset
 
 
 def _ray_with_adds(rng: random.Random, lo: int = -60, hi: int = -10):
@@ -264,7 +264,8 @@ def check_ray_family_shrinks(rng: random.Random) -> tuple[bool, str]:
                 )
             mb = windowed_sumset(w, c, big)
             ma = windowed_sumset(w, shrunk, big)
-            loss = [t for t in ma.uncovered_interior() if t not in set(mb.uncovered_interior())]
+            gaps_before = set(mb.uncovered_interior())
+            loss = [t for t in ma.uncovered_interior() if t not in gaps_before]
             stray = [t for t in loss if t not in cert.loss_bound]
             if stray:
                 return False, f"variant {variant} case {case}: loss escaped at {stray[:4]}"
@@ -314,9 +315,9 @@ def check_sumset_against_brute_force(rng: random.Random) -> tuple[bool, str]:
         mask = brute_force_cover(w, c, win)
         if mask.interior_margin != 0:
             return False, f"pair {pairs}: brute mask not exact"
-        want = window_bits(bep_sumset(w, c), win)
-        if mask.bits != want:
-            diff = next(t for i, t in enumerate(win) if (mask.bits >> i & 1) != (want >> i & 1))
+        want = CoverageMask(win, window_bits(bep_sumset(w, c), win))
+        if mask != want:
+            diff = flag_points(mask.flags() != want.flags(), win.lo)[0]
             return False, f"pair {pairs}: first disagreement at {diff}"
         pairs += 1
     return True, "500 random pairs agree on [-300, 300]"

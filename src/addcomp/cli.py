@@ -631,8 +631,8 @@ def _cmd_sumset(args) -> int:
         mask = windowed_sumset(w, c, win, args.radius)
     inner = mask.interior()
     rows = [
-        [t, int(mask.covered(t)), int(inner is not None and t in inner)]
-        for t in win
+        [t, int(hit), int(inner is not None and t in inner)]
+        for t, hit in zip(win, mask.flags().tolist())
     ]
     payload = mask.to_json()
     payload["uncoveredInterior"] = mask.uncovered_interior()

@@ -1125,25 +1125,6 @@ def gap_sequence(s: IntSet, window: Window) -> list[int]:
     return [b - a for a, b in zip(elems, elems[1:])]
 
 
-def gap_summary(s: IntSet, window: Window) -> dict:
-    """Companion statistics for a gap sequence: extremes and a growth hint."""
-    gaps = gap_sequence(s, window)
-    elems = enumerate_window(s, window)
-    mx = max(gaps)
-    at = gaps.index(mx)
-    q = max(1, len(gaps) // 4)
-    quarter_mins = [min(gaps[i : i + q] or [gaps[-1]]) for i in range(0, len(gaps), q)][:4]
-    return {
-        "elements": len(elems),
-        "gaps": len(gaps),
-        "max_gap": mx,
-        "max_gap_left": elems[at],
-        "last_gap": gaps[-1],
-        "quarter_mins": quarter_mins,
-        "min_nondecreasing": all(x <= y for x, y in zip(quarter_mins, quarter_mins[1:])),
-    }
-
-
 @dataclass(frozen=True)
 class Classification:
     kind: str

@@ -34,6 +34,7 @@ from .intset import (
     PointwiseSet,
     Window,
     enumerate_window,
+    is_infinite,
     is_prime,
     minus,
     negate,
@@ -43,9 +44,11 @@ from .intset import (
 )
 from .sumset import (
     CoverageMask,
+    _full_coverage_provable,
     bep_sumset,
     closed_form,
     complement_set,
+    flag_points,
     windowed_sumset,
 )
 
@@ -142,7 +145,7 @@ def is_complement(
         mask = windowed_sumset(nw, nc, win, radius)
     except (UndecidablePairError, RadiusTooSmallError) as e:
         return Verdict("unknown", False, window=win, detail=str(e))
-    if mask.interior_margin == 0 and mask.bits == (1 << len(win)) - 1:
+    if mask.interior_margin == 0 and mask.covered_count() == len(win):
         # structural full-coverage routes land here with margin 0
         exact = _provably_full(nw, nc)
         return Verdict(
@@ -164,7 +167,8 @@ def is_complement(
                 f"uncovered inside the trusted interior (margin {mask.interior_margin})"
             ),
         )
-    edge = [t for t in mask.uncovered() if t not in set(bad)]
+    # nothing is uncovered on the trusted interior, so every gap is an edge gap
+    edge = mask.uncovered()
     return Verdict(
         "true",
         False,
@@ -175,9 +179,6 @@ def is_complement(
 
 
 def _provably_full(nw: IntSet, nc: IntSet) -> bool:
-    from .sumset import _full_coverage_provable
-    from .intset import is_infinite
-
     for x, y in ((nw, nc), (nc, nw)):
         if isinstance(x, CofiniteSet) and not x.excluded:
             return True
@@ -542,14 +543,6 @@ def removal_growth(
     return _window_loss(base, after, win)
 
 
-def _bit_positions(bits: int) -> list[int]:
-    """Indices of the set bits of a nonnegative int, ascending."""
-    if not bits:
-        return []
-    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
-
-
 def _inner(win: Window, margin: int) -> Window | None:
     """The part of the window a growth must stay inside to count as enclosed."""
     return win.shrink(margin + max(8, len(win) // 20))
@@ -567,8 +560,8 @@ def _window_loss(
     trusted = win.shrink(margin)
     if trusted is None:
         return [], False, None
-    lost = ((base.bits & ~after.bits) >> margin) & ((1 << len(trusted)) - 1)
-    growth = [trusted.lo + j for j in _bit_positions(lost)]
+    lost = base.flags() & ~after.flags()
+    growth = flag_points(lost[margin : len(win) - margin], trusted.lo)
     return growth, _enclosed(growth, _inner(win, margin)), trusted
 
 

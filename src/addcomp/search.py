@@ -29,7 +29,7 @@ from .intset import (
     normalize,
 )
 from .predicates import Verdict, is_asymptotic_complement, is_complement
-from .sumset import CoverageMask, _parts, window_bits
+from .sumset import CoverageMask, _parts, flags_from_mask, mask_from_flags, window_bits
 
 
 def _reach(parts) -> tuple[int, int]:
@@ -87,22 +87,20 @@ def brute_force_cover(
     total = isinstance(nc, FiniteSet) and set(celems) == set(nc.elements)
     exact = total or (full is not None and radius >= full)
 
-    bits = 0
     span = len(window)
     wlo = window.lo - max(celems)
     whi = window.hi - min(celems)
     welems = np.array(enumerate_window(w, Window(wlo, whi)), dtype=np.int64)
     carr = np.array(celems, dtype=np.int64)
+    buf = np.zeros(span, dtype=bool)
     if welems.size:
-        buf = np.zeros(span, dtype=bool)
         chunk = max(1, 2_000_000 // max(1, welems.size))
         for i in range(0, carr.size, chunk):
             sums = welems[None, :] + carr[i : i + chunk, None]
             offs = (sums - window.lo).ravel()
             offs = offs[(offs >= 0) & (offs < span)]
             buf[offs] = True
-        bits = int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
-    return CoverageMask(window, bits, 0 if exact else min(radius, span))
+    return CoverageMask(window, mask_from_flags(buf), 0 if exact else min(radius, span))
 
 
 def greedy_asymptotic_complement(
@@ -116,10 +114,10 @@ def greedy_asymptotic_complement(
     """
     picked: list[int] = []
     skipped: list[int] = []
-    bits = 0
     span = len(target)
+    covered = np.zeros(span, bool)
     for idx, t in enumerate(target):
-        if bits >> idx & 1:
+        if covered[idx]:
             continue
         top = max_element_le(w, t)
         if top is None:
@@ -127,8 +125,8 @@ def greedy_asymptotic_complement(
             continue
         cand = t - top
         picked.append(cand)
-        mask = window_bits(w, Window(target.lo - cand, target.hi - cand))
-        bits |= mask & ((1 << span) - 1)
+        shifted = Window(target.lo - cand, target.hi - cand)
+        covered |= flags_from_mask(window_bits(w, shifted), span)
     if not picked:
         raise EmptySetError("no target was coverable, nothing picked")
     return finite(sorted(set(picked))), skipped

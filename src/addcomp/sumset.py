@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BadParamsError, RadiusTooSmallError, UndecidablePairError
 from .intset import (
     BEPSet,
@@ -49,6 +51,32 @@ from .intset import (
 
 # ---------------------------------------------------------------------------
 # coverage masks
+#
+# A mask is a nonnegative int whose bit j stands for the point lo + j of its
+# window.  Only this section packs or unpacks that layout; everything else
+# goes through mask_from_flags, flags_from_mask and flag_points.
+
+
+def mask_from_flags(flags: np.ndarray) -> int:
+    """Mask int of a bool array: bit j is set when flags[j] is."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def flags_from_mask(bits: int, width: int) -> np.ndarray:
+    """Bool array of the low ``width`` bits of a mask; higher bits are ignored."""
+    low = bits & ((1 << width) - 1)
+    raw = np.frombuffer(low.to_bytes((width + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=width, bitorder="little").view(bool)
+
+
+def flag_points(flags: np.ndarray, lo: int) -> list[int]:
+    """The points lo + j with flags[j] set, ascending.
+
+    lo + len(flags) - 1 must fit in int64, as it does for any Window.
+    """
+    # the offset goes in before tolist: one int64 array is far smaller than
+    # an intermediate list of Python ints
+    return (np.flatnonzero(flags) + lo).tolist()
 
 
 @dataclass(frozen=True)
@@ -69,6 +97,10 @@ class CoverageMask:
             raise BadParamsError(f"{t} outside the mask window")
         return bool((self.bits >> (t - self.window.lo)) & 1)
 
+    def flags(self) -> np.ndarray:
+        """Coverage of each window point, in order, as a bool array."""
+        return flags_from_mask(self.bits, len(self.window))
+
     def covered_count(self) -> int:
         return self.bits.bit_count()
 
@@ -76,26 +108,21 @@ class CoverageMask:
         return self.window.shrink(self.interior_margin)
 
     def uncovered(self) -> list[int]:
-        return [t for t in self.window if not self.covered(t)]
+        return flag_points(~self.flags(), self.window.lo)
 
     def uncovered_interior(self) -> list[int]:
         inner = self.interior()
         if inner is None:
             return []
-        return [t for t in inner if not self.covered(t)]
+        m = self.interior_margin
+        return flag_points(~self.flags()[m : len(self.window) - m], inner.lo)
 
     def runs(self) -> list[tuple[bool, int, int]]:
-        out: list[tuple[bool, int, int]] = []
+        flags = self.flags()
+        starts = np.flatnonzero(np.concatenate(([True], flags[1:] != flags[:-1])))
+        ends = np.append(starts[1:], len(flags)) - 1
         lo = self.window.lo
-        cur = self.covered(lo)
-        start = lo
-        for t in range(lo + 1, self.window.hi + 1):
-            v = self.covered(t)
-            if v != cur:
-                out.append((cur, start, t - 1))
-                cur, start = v, t
-        out.append((cur, start, self.window.hi))
-        return out
+        return list(zip(flags[starts].tolist(), (starts + lo).tolist(), (ends + lo).tolist()))
 
     def to_json(self) -> dict:
         return {
@@ -109,24 +136,25 @@ class CoverageMask:
 
 def window_bits(s: IntSet, window: Window) -> int:
     """Membership bitmask of s over the window (bit j is window.lo + j)."""
-    width = len(window)
-    ba = bytearray((width + 7) // 8)
-    for t in enumerate_window(s, window):
-        idx = t - window.lo
-        ba[idx >> 3] |= 1 << (idx & 7)
-    return int.from_bytes(bytes(ba), "little")
+    flags = np.zeros(len(window), bool)
+    flags[np.array(enumerate_window(s, window), np.int64) - window.lo] = True
+    return mask_from_flags(flags)
 
 
 def _pattern_bits(residues: frozenset[int], period: int, lo: int, hi: int) -> int:
     """Bits (indexed from lo) of the residue pattern over [lo, hi]."""
     if lo > hi:
         return 0
+    width = hi - lo + 1
     bits = 0
     for r in residues:
-        first = lo + ((r - lo) % period)
-        for t in range(first, hi + 1, period):
-            bits |= 1 << (t - lo)
-    return bits
+        bits |= 1 << ((r - lo) % period)
+    # one period's pattern, doubled until it spans the width: linear in width
+    span = period
+    while span < width:
+        bits |= bits << span
+        span *= 2
+    return bits & ((1 << width) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +322,8 @@ def _bep_sum_cached(a: IntSet, b: IntSet) -> IntSet:
         }
         return TailSpec.periodic(threshold, period, res)
 
-    core = [lo + j for j in range(hi - lo + 1) if (band >> j) & 1] if lo <= hi else []
+    # the band may reach past the int64 range, so the offset is added in Python
+    core = [lo + j for j in np.flatnonzero(flags_from_mask(band, hi - lo + 1)).tolist()]
     return make_bep(merged(left_mods, lo), core, lo, hi, merged(right_mods, hi))
 
 

@@ -159,11 +159,14 @@ def test_redundant_every_point_against_z():
 
 
 def test_redundant_middle_elements_of_block_ac():
-    out = redundant_elements(lemma44_set(), finite([0, 5, 9, 14]), Window(-1000, 4200))
+    w, cs = lemma44_set(), finite([0, 5, 9, 14])
+    out = redundant_elements(w, cs, Window(-1000, 4200))
     assert [c for c, _ in out] == [5, 9]
     for c, ev in out:
         assert ev  # the finite loss is explicit
-        assert all(not pointwise_hit(lemma44_set(), finite([0, 5, 9, 14]) , t) is True for t in ())
+        for t in ev:  # covered, and only through c
+            assert pointwise_hit(w, cs, t) is True
+            assert pointwise_hit(w, minus(cs, {c}), t) is False
 
 
 def test_redundant_none_for_representatives():

@@ -3,13 +3,21 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from addcomp.intset import (
+    INT64_MAX,
+    INT64_MIN,
     TailSpec,
     Window,
     above,
+    ap,
     below,
+    blocks10_family,
     cofinite,
     contains,
+    enumerate_window,
     finite,
     integers,
     lemma43_set,
@@ -21,7 +29,14 @@ from addcomp.intset import (
     translate,
 )
 from addcomp.search import brute_force_cover, complete_radius
-from addcomp.sumset import bep_sumset, pointwise_hit, window_bits, windowed_sumset
+from addcomp.sumset import (
+    CoverageMask,
+    _pattern_bits,
+    bep_sumset,
+    pointwise_hit,
+    window_bits,
+    windowed_sumset,
+)
 
 
 def test_pointwise_hit_nonprimes():
@@ -185,3 +200,89 @@ def test_mask_interior_and_uncovered():
     inner = mask.interior()
     assert inner is not None
     assert mask.uncovered_interior() == [5]
+
+
+# ---------------------------------------------------------------------------
+# the mask codec against its definitions, one point at a time
+
+
+@st.composite
+def _masks(draw):
+    width = draw(st.integers(1, 300))
+    lo = draw(st.one_of(
+        st.integers(-(10**12), 10**12),
+        st.integers(INT64_MIN, INT64_MIN + 400),
+        st.integers(INT64_MAX - 700, INT64_MAX),
+    ))
+    lo = min(lo, INT64_MAX - width + 1)
+    # bits at or above the width are set too: every decode must ignore them
+    bits = draw(st.one_of(
+        st.just(0),
+        st.just((1 << width) - 1),
+        st.integers(0, (1 << (width + 16)) - 1),
+    ))
+    margin = draw(st.integers(0, width))  # margins past width // 2 leave no interior
+    return CoverageMask(Window(lo, lo + width - 1), bits, margin)
+
+
+def _runs_by_point(mask):
+    out = []
+    lo, hi = mask.window.lo, mask.window.hi
+    cur, start = mask.covered(lo), lo
+    for t in range(lo + 1, hi + 1):
+        if mask.covered(t) != cur:
+            out.append((cur, start, t - 1))
+            cur, start = mask.covered(t), t
+    out.append((cur, start, hi))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_masks())
+def test_mask_decodes_match_covered(mask):
+    win = mask.window
+    assert mask.flags().tolist() == [mask.covered(t) for t in win]
+    assert mask.uncovered() == [t for t in win if not mask.covered(t)]
+    inner = mask.interior()
+    want = [] if inner is None else [t for t in inner if not mask.covered(t)]
+    assert mask.uncovered_interior() == want
+    assert mask.runs() == _runs_by_point(mask)
+
+
+_WINDOW_SETS = [
+    nonprimes(),
+    lemma43_set(),
+    lemma44_set(),
+    blocks10_family(False),
+    blocks10_family(True),
+    finite([-7, 0, 3, 10**11 + 5, 10**11 + 90]),
+    ap(2, 5, "above", -9),
+    ap(1, 7, "below", 10**11 + 50),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_WINDOW_SETS),
+    st.sampled_from([0, -150, 10**11 - 100]),
+    st.integers(-100, 100),
+    st.integers(1, 300),
+)
+def test_window_bits_matches_enumeration(s, base, offset, width):
+    win = Window(base + offset, base + offset + width - 1)
+    want = 0
+    for t in enumerate_window(s, win):
+        want |= 1 << (t - win.lo)
+    assert window_bits(s, win) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 60), st.integers(-(10**4), 10**4), st.integers(-1, 500))
+def test_pattern_bits_matches_per_point(data, period, lo, width):
+    residues = frozenset(data.draw(st.sets(st.integers(0, period - 1), min_size=1)))
+    hi = lo + width - 1
+    want = 0
+    for t in range(lo, hi + 1):
+        if t % period in residues:
+            want |= 1 << (t - lo)
+    assert _pattern_bits(residues, period, lo, hi) == want
