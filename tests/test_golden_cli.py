@@ -104,7 +104,39 @@ _ERRORS = [
     ["eval", "--set", "finite{99999999999999999999}"],
 ]
 
-CASES = [argv + fmt for argv in _CASES for fmt in ([], ["--json"])] + _ERRORS
+# test ids are positions in CASES, so later cases go after the first ones
+_FAR_AND_EDITED = [
+    # nonprimes far out: sieve roots inside the base-prime table near 1e12,
+    # beyond it (Miller-Rabin on the survivors) near 1e13
+    ["eval", "--set", NP, "--window", "1000000000000:1000000000120"],
+    ["sumset", "--w", NP, "--c", "finite{0,6}", "--window", "1000000004800:1000000004999"],
+    ["eval", "--set", NP, "--window", "10000000000000:10000000000120"],
+    ["sumset", "--w", NP, "--c", "finite{0,6}", "--window", "10000000000150:10000000000299"],
+    ["eval", "--set", "translate(union(minus(nonprimes, finite{4,9,25}), finite{-3,17,23}), 5)",
+     "--window", "-20:40"],
+    ["eval", "--set", "neg(union(minus(translate(nonprimes, -2), finite{7,8}), finite{3,5}))",
+     "--window", "-40:20"],
+    ["eval", "--set", "neg(family(generic, lenI=k, lenJ=k+1, origin=3))", "--window", "-60:5"],
+    ["eval", "--set", "translate(neg(union(minus(family(blocks10), finite{12,41}), finite{-7,0})), 30)",
+     "--window", "-60:40"],
+    # shifted windows far apart, and radius elements in several separate runs
+    ["sumset", "--w", NP, "--c", "finite{0,5000}", "--window", "1000000000000:1000000000199"],
+    ["sumset", "--w", "family(lemma43)", "--c", "translate(family(lemma43), -90)",
+     "--window", "60:70", "--radius", "100"],
+]
+
+_RANGE_ERRORS = [
+    ["eval", "--set", "translate(nonprimes, -9000000000000000000)",
+     "--window=9000000000000000000:9000000000000000005"],
+    ["eval", "--set", "family(lemma43)", "--window", "2199023256400:2199023256420"],
+]
+
+
+def _both_formats(cases: list[list[str]]) -> list[list[str]]:
+    return [argv + fmt for argv in cases for fmt in ([], ["--json"])]
+
+
+CASES = _both_formats(_CASES) + _ERRORS + _both_formats(_FAR_AND_EDITED) + _RANGE_ERRORS
 
 
 def _mask(argv: list[str], out: str) -> str:
