@@ -41,6 +41,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .errors import (
     BadParamsError,
     EmptySetError,
@@ -705,12 +707,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 @lru_cache(maxsize=1 << 18)
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for every n < 3.18e23 (all of int64)."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
+    if n in _MR_WITNESSES:
         return True
-    if any(n % p == 0 for p in small):
+    if any(n % p == 0 for p in _MR_WITNESSES):
         return False
     if n < 41 * 41:
         return True
@@ -730,6 +732,66 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# Segments are sieved with the base primes up to min(isqrt(hi), this cap);
+# past the cap the survivors go to is_prime.  The base table grows on demand
+# (doubling): built at the cap up front it would cost every process a few MB
+# that queries near 0 never use.
+_SIEVE_ROOT_CAP = 1 << 21
+_base_primes = (np.zeros(0, np.int64), 1)  # (all primes <= limit, limit)
+
+
+def _primes_upto(n: int) -> np.ndarray:
+    """Ascending primes <= n, for n <= _SIEVE_ROOT_CAP."""
+    global _base_primes
+    table, limit = _base_primes
+    if n > limit:
+        limit = min(max(n, 2 * limit, 1 << 10), _SIEVE_ROOT_CAP)
+        sieve = np.ones(limit + 1, bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        table = np.flatnonzero(sieve)
+        _base_primes = (table, limit)
+    return table[: np.searchsorted(table, n, "right")]
+
+
+def prime_flags(lo: int, hi: int) -> np.ndarray:
+    """Primality of each n in [lo, hi] (both int64), by a segmented sieve.
+
+    Bit-for-bit equal to ``[is_prime(n) for n in range(lo, hi + 1)]``.
+    """
+    flags = np.zeros(hi - lo + 1, bool)
+    start = max(lo, 2)
+    if start > hi:
+        return flags
+    seg = flags[start - lo :]
+    seg[:] = True
+    n = len(seg)
+    root = math.isqrt(hi)
+    primes = _primes_upto(min(root, _SIEVE_ROOT_CAP))
+    # each prime strikes from p*p (so a prime in the segment survives) or
+    # from its first multiple >= start, whichever is later
+    first = np.where(primes * primes >= start, primes * primes - start, (-start) % primes)
+    # primes up to sqrt(n) have many multiples in the segment and take one
+    # slice each; the rest advance together, one multiple per round, in
+    # about sqrt(n) rounds
+    sliced = int(np.searchsorted(primes, math.isqrt(n), "right"))
+    for p, f in zip(primes[:sliced].tolist(), first[:sliced].tolist()):
+        seg[f::p] = False
+    step, at = primes[sliced:], first[sliced:]
+    while at.size:
+        live = at < n
+        step, at = step[live], at[live]
+        seg[at] = False
+        at = at + step
+    if root > _SIEVE_ROOT_CAP:
+        for j in np.flatnonzero(seg).tolist():
+            if not is_prime(start + j):
+                seg[j] = False
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +878,48 @@ def contains(s: IntSet, t: int) -> bool:
     return check_i64(t, "element") in s
 
 
+def _block_flags(s: FamilySet, ilo: int, ihi: int) -> np.ndarray:
+    """Base membership of the inner coordinates ilo..ihi of a block family:
+    its left tail, then one slice per block."""
+    inner = np.zeros(ihi - ilo + 1, bool)
+    thr = min(ihi, s.left.threshold - 1)
+    if s.left.kind == "periodic" and thr >= ilo:
+        for r in s.left.residues:
+            inner[(r - ilo) % s.left.period : thr - ilo + 1 : s.left.period] = True
+    start1 = s.rule.start(1)
+    if ihi >= start1:
+        k = 1 if ilo <= start1 else _rule_block_search(s.rule, ilo)[0]
+        while s.rule.start(k) <= ihi:
+            blo, bhi = s.rule.start(k), rule_end(s.rule, k)
+            inner[max(blo - ilo, 0) : max(bhi - ilo + 1, 0)] = True
+            if k >= s.rule.max_k():
+                if ihi > bhi:
+                    raise OverflowError("window reaches beyond the block index cap")
+                break
+            k += 1
+    return inner
+
+
+def _nonprime_flags(s: PointwiseSet, ilo: int, ihi: int) -> np.ndarray:
+    """Base membership of the inner coordinates ilo..ihi of the nonprimes.
+
+    Where they leave int64 (at one end only), the first point in window
+    order that no edit decides raises OutOfDecidableRangeError.
+    """
+    lo, hi = max(ilo, INT64_MIN), min(ihi, INT64_MAX)
+    if (lo, hi) != (ilo, ihi):
+        a, b = (ilo, min(lo - 1, ihi)) if ilo < lo else (max(hi + 1, ilo), ihi)
+        ta, tb = sorted((s.outer(a), s.outer(b)))
+        edited = set(s.adds) | set(s.removes)
+        t = next((t for t in range(ta, tb + 1) if t not in edited), None)
+        if t is not None:
+            raise OutOfDecidableRangeError(f"pointwise query at {s.inner(t)} beyond 64-bit range")
+    inner = np.zeros(ihi - ilo + 1, bool)
+    if lo <= hi:
+        inner[lo - ilo : hi - ilo + 1] = ~prime_flags(lo, hi)
+    return inner
+
+
 def enumerate_window(s: IntSet, window: Window) -> list[int]:
     """Sorted elements of s in the window."""
     if isinstance(s, FiniteSet):
@@ -832,29 +936,20 @@ def enumerate_window(s: IntSet, window: Window) -> list[int]:
         out.extend(s.core[lo:hi])
         out.extend(s.right.elements(max(window.lo, s.core_hi + 1), window.hi))
         return out
-    if isinstance(s, FamilySet):
+    if isinstance(s, (FamilySet, PointwiseSet)):
+        # base membership over the window's inner coordinates, then back to
+        # window order with the edits applied
         if s.negated:
             ilo, ihi = s.shift - window.hi, s.shift - window.lo
         else:
             ilo, ihi = window.lo - s.shift, window.hi - s.shift
-        inner: list[int] = s.left.elements(ilo, min(ihi, s.left.threshold - 1))
-        start1 = s.rule.start(1)
-        if ihi >= start1:
-            k = 1 if ilo <= start1 else _rule_block_search(s.rule, ilo)[0]
-            while s.rule.start(k) <= ihi:
-                blo, bhi = s.rule.start(k), rule_end(s.rule, k)
-                inner.extend(range(max(blo, ilo), min(bhi, ihi) + 1))
-                if k >= s.rule.max_k():
-                    if ihi > bhi:
-                        raise OverflowError("window reaches beyond the block index cap")
-                    break
-                k += 1
-        pts = {s.outer(u) for u in inner}
-        pts.update(t for t in s.adds if window.lo <= t <= window.hi)
-        pts.difference_update(s.removes)
-        return sorted(pts)
-    if isinstance(s, PointwiseSet):
-        return [t for t in window if s.member(t)]
+        fill = _block_flags if isinstance(s, FamilySet) else _nonprime_flags
+        flags = fill(s, ilo, ihi)
+        if s.negated:
+            flags = flags[::-1]
+        flags[[t - window.lo for t in s.adds if t in window]] = True
+        flags[[t - window.lo for t in s.removes if t in window]] = False
+        return (np.flatnonzero(flags) + window.lo).tolist()
     if isinstance(s, UnionSet):
         pts: set[int] = set()
         for p in s.parts:

@@ -29,7 +29,7 @@ from .intset import (
     normalize,
 )
 from .predicates import Verdict, is_asymptotic_complement, is_complement
-from .sumset import CoverageMask, _parts, flags_from_mask, mask_from_flags, window_bits
+from .sumset import CoverageMask, _parts, mask_from_flags, window_flags
 
 
 def _reach(parts) -> tuple[int, int]:
@@ -126,7 +126,7 @@ def greedy_asymptotic_complement(
         cand = t - top
         picked.append(cand)
         shifted = Window(target.lo - cand, target.hi - cand)
-        covered |= flags_from_mask(window_bits(w, shifted), span)
+        covered |= window_flags(w, shifted)
     if not picked:
         raise EmptySetError("no target was coverable, nothing picked")
     return finite(sorted(set(picked))), skipped

@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParamsError, RadiusTooSmallError, UndecidablePairError
+from .errors import BadParamsError, RadiusTooSmallError, ToolkitError, UndecidablePairError
 from .intset import (
     BEPSet,
     CofiniteSet,
@@ -134,11 +135,16 @@ class CoverageMask:
         }
 
 
-def window_bits(s: IntSet, window: Window) -> int:
-    """Membership bitmask of s over the window (bit j is window.lo + j)."""
+def window_flags(s: IntSet, window: Window) -> np.ndarray:
+    """Membership of each window point in s, in order, as a bool array."""
     flags = np.zeros(len(window), bool)
     flags[np.array(enumerate_window(s, window), np.int64) - window.lo] = True
-    return mask_from_flags(flags)
+    return flags
+
+
+def window_bits(s: IntSet, window: Window) -> int:
+    """Membership bitmask of s over the window (bit j is window.lo + j)."""
+    return mask_from_flags(window_flags(s, window))
 
 
 def _pattern_bits(residues: frozenset[int], period: int, lo: int, hi: int) -> int:
@@ -388,6 +394,40 @@ def pointwise_hit(a: IntSet, b: IntSet, t: int) -> bool | None:
     return None
 
 
+def _shifted_union_bits(y: IntSet, shifts: Sequence[int], window: Window) -> int:
+    """Mask of y + shifts over the window, for ascending shifts.
+
+    The windows [lo - e, hi - e] are merged into disjoint runs of
+    overlapping or touching windows, y is enumerated once per run, and each
+    shift ORs in its slice, so no point is enumerated twice and the
+    enumerated width is at most the sum of the shifted windows.
+    """
+    runs: list[list] = []  # [lo, hi, shifts], by ascending lo
+    for e in reversed(shifts):
+        lo, hi = window.lo - e, window.hi - e
+        if runs and lo <= runs[-1][1] + 1:
+            runs[-1][1] = hi
+            runs[-1][2].append(e)
+        else:
+            runs.append([lo, hi, [e]])
+    width = len(window)
+    covered = np.zeros(width, bool)
+    try:
+        for lo, hi, es in runs:
+            flags = window_flags(y, Window(lo, hi))
+            for e in es:
+                at = window.lo - e - lo
+                covered |= flags[at : at + width]
+    except (OverflowError, ToolkitError):
+        # a run can fail at another point, or for another reason, than the
+        # shift that fails first in ascending order; replaying shift by
+        # shift raises that first error
+        for e in shifts:
+            window_flags(y, Window(window.lo - e, window.hi - e))
+        raise
+    return mask_from_flags(covered)
+
+
 def windowed_sumset(
     a: IntSet, b: IntSet, window: Window, radius: int | None = None
 ) -> CoverageMask:
@@ -400,19 +440,15 @@ def windowed_sumset(
     used; with no radius the pair is rejected as undecidable.
     """
     na, nb = normalize(a), normalize(b)
-    full = (1 << len(window)) - 1
     if _parts(na) is not None and _parts(nb) is not None:
         return CoverageMask(window, window_bits(bep_sumset(na, nb), window), 0)
     for x, y in ((na, nb), (nb, na)):
         if isinstance(x, FiniteSet):
-            bits = 0
-            for e in x.elements:
-                bits |= window_bits(y, Window(window.lo - e, window.hi - e))
-            return CoverageMask(window, bits, 0)
+            return CoverageMask(window, _shifted_union_bits(y, x.elements, window), 0)
         if isinstance(x, CofiniteSet) and is_infinite(y):
-            return CoverageMask(window, full, 0)
+            return CoverageMask(window, (1 << len(window)) - 1, 0)
     if _full_coverage_provable(na, nb):
-        return CoverageMask(window, full, 0)
+        return CoverageMask(window, (1 << len(window)) - 1, 0)
     for x, y in ((na, nb), (nb, na)):
         if isinstance(x, UnionSet):
             bits = 0
@@ -428,9 +464,7 @@ def windowed_sumset(
             raise RadiusTooSmallError(
                 f"second operand has no elements in [-{radius}, {radius}]"
             )
-        bits = 0
-        for e in second:
-            bits |= window_bits(na, Window(window.lo - e, window.hi - e))
+        bits = _shifted_union_bits(na, second, window)
         return CoverageMask(window, bits, max(abs(e) for e in second))
     raise UndecidablePairError(
         f"no exact route for {type(na).__name__} + {type(nb).__name__}; "

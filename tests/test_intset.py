@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomp.errors import EmptySetError
+from addcomp.errors import EmptySetError, ToolkitError
 from addcomp.intset import (
+    _SIEVE_ROOT_CAP,
+    INT64_MAX,
+    INT64_MIN,
     BEPSet,
     CofiniteSet,
     FamilySet,
@@ -28,6 +32,7 @@ from addcomp.intset import (
     gap_sequence,
     generic_family,
     integers,
+    is_prime,
     lemma43_set,
     lemma44_set,
     make_bep,
@@ -35,6 +40,7 @@ from addcomp.intset import (
     negate,
     nonprimes,
     normalize,
+    prime_flags,
     smallest_abs_elements,
     subgroup_set,
     translate,
@@ -266,3 +272,86 @@ def test_ap_sides_exclusive():
 def test_above_below_exclusive():
     assert enumerate_window(above(3), Window(0, 6)) == [4, 5, 6]
     assert enumerate_window(below(3), Window(0, 6)) == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# the array enumeration kernels against their per-point definitions
+
+# the least prime past the base-prime cap: its square is the least composite
+# the sieve leaves to Miller-Rabin
+_P = 2097169
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0, 10**12, _SIEVE_ROOT_CAP**2, _P * _P, INT64_MAX, INT64_MIN]),
+    st.integers(-400, 400),
+    st.integers(1, 400),
+)
+def test_prime_flags_matches_is_prime(base, offset, width):
+    lo = min(max(base + offset, INT64_MIN), INT64_MAX - width + 1)
+    hi = lo + width - 1
+    assert prime_flags(lo, hi).tolist() == [is_prime(n) for n in range(lo, hi + 1)]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (OverflowError, ToolkitError) as e:
+        return type(e), str(e)
+
+
+def _edited(data, base, shifts, centres):
+    """base, maybe reflected, translated, with edits in and around a window."""
+    s = negate(base) if data.draw(st.booleans()) else base
+    shift = data.draw(shifts)
+    s = translate(s, shift)
+    width = data.draw(st.integers(1, 300))
+    centre = data.draw(centres) + data.draw(st.sampled_from([0, shift, -shift]))
+    lo = min(max(centre, INT64_MIN), INT64_MAX - width + 1)
+    near = st.integers(max(lo - 5, INT64_MIN), min(lo + width + 5, INT64_MAX))
+    adds = data.draw(st.sets(near, max_size=4))
+    removes = data.draw(st.sets(near, max_size=4))
+    s = replace(s, adds=tuple(sorted(adds)), removes=tuple(sorted(removes)))
+    return s, Window(lo, lo + width - 1)
+
+
+_ENDS = st.one_of(
+    st.integers(-300, 300),
+    st.integers(-(10**12), 10**12),
+    st.integers(INT64_MIN, INT64_MIN + 400),
+    st.integers(INT64_MAX - 400, INT64_MAX),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_enumerate_nonprimes_matches_member(data):
+    """Errors included: past the 64-bit range of the inner coordinate, the
+    first unedited point in window order is named."""
+    s, win = _edited(data, nonprimes(), _ENDS, _ENDS)
+    want = _outcome(lambda: [t for t in win if s.member(t)])
+    assert _outcome(lambda: enumerate_window(s, win)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_enumerate_families_match_member(data):
+    """Same elements as per-point membership.  Past the block index cap the
+    block walk raises OverflowError whenever a point's base membership
+    does, even where an edit decides that point."""
+    far = data.draw(st.booleans())
+    if far:
+        base = data.draw(st.sampled_from(
+            [lemma43_set(), lemma44_set(), blocks10_family(), blocks10_family(True)]))
+        s, win = _edited(data, base, _ENDS, _ENDS)
+    else:
+        base = data.draw(st.sampled_from(
+            [generic_family("k", "k+1", 3), generic_family("2*k+1", "3*k", -7), lemma43_set()]))
+        s, win = _edited(data, base, st.integers(-40, 40), st.integers(-300, 300))
+    unedited = _outcome(lambda: [s.base_member(s.inner(t)) for t in win])
+    got = _outcome(lambda: enumerate_window(s, win))
+    if isinstance(unedited, tuple):
+        assert isinstance(got, tuple) and got[0] is unedited[0] is OverflowError
+    else:
+        assert got == [t for t in win if s.member(t)]

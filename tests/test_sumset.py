@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addcomp.errors import RadiusTooSmallError, ToolkitError
 from addcomp.intset import (
     INT64_MAX,
     INT64_MIN,
@@ -19,10 +21,12 @@ from addcomp.intset import (
     contains,
     enumerate_window,
     finite,
+    generic_family,
     integers,
     lemma43_set,
     lemma44_set,
     make_bep,
+    negate,
     nonprimes,
     normalize,
     subgroup_set,
@@ -286,3 +290,85 @@ def test_pattern_bits_matches_per_point(data, period, lo, width):
         if t % period in residues:
             want |= 1 << (t - lo)
     assert _pattern_bits(residues, period, lo, hi) == want
+
+
+# ---------------------------------------------------------------------------
+# windowed_sumset's shifted routes against one window_bits per shift
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (OverflowError, ToolkitError) as e:
+        return type(e), str(e)
+
+
+def _per_shift(y, shifts, win):
+    bits = 0
+    for e in shifts:
+        bits |= window_bits(y, Window(win.lo - e, win.hi - e))
+    return bits
+
+
+def _placed(data, base, shifts):
+    s = negate(base) if data.draw(st.booleans()) else base
+    s = translate(s, data.draw(shifts))
+    removes = data.draw(st.sets(st.integers(-50, 50), max_size=3))
+    return replace(s, removes=tuple(sorted(removes)))
+
+
+_FAR = st.one_of(
+    st.integers(-300, 300),
+    st.integers(-(10**12), 10**12),
+    st.integers(INT64_MIN, INT64_MIN + 400),
+    st.integers(INT64_MAX - 400, INT64_MAX),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_windowed_finite_route_matches_per_shift(data):
+    """Shifts close together (one run), far apart (disjoint runs) and past
+    the 64-bit range; the error, if any, is the first the per-shift walk
+    meets, message included."""
+    base = data.draw(st.sampled_from([nonprimes(), lemma43_set(), blocks10_family(True)]))
+    y = _placed(data, base, _FAR)
+    spread = data.draw(st.sampled_from([12, 5000, 10**6, 2**62]))
+    c = finite(data.draw(st.sets(st.integers(-spread, spread), min_size=1, max_size=5)))
+    width = data.draw(st.integers(1, 200))
+    lo = min(max(data.draw(_FAR), INT64_MIN), INT64_MAX - width + 1)
+    win = Window(lo, lo + width - 1)
+    want = _outcome(lambda: (_per_shift(normalize(y), c.elements, win), 0))
+    for a, b in ((y, c), (c, y)):
+        got = _outcome(lambda: windowed_sumset(a, b, win))
+        if not isinstance(got, tuple):
+            got = (got.bits, got.interior_margin)
+        assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_windowed_radius_route_matches_per_shift(data):
+    """Two block families with no exact route: the second is enumerated
+    within the radius, its elements often in several separate runs."""
+    families = [lemma44_set(), blocks10_family(), blocks10_family(True),
+                generic_family("k", "k+1", 3)]
+    a = _placed(data, data.draw(st.sampled_from(families)), st.integers(-60, 60))
+    b = _placed(data, data.draw(st.sampled_from(families)), st.integers(-60, 60))
+    radius = data.draw(st.integers(0, 300))
+    width = data.draw(st.integers(1, 120))
+    lo = data.draw(st.integers(-400, 400))
+    win = Window(lo, lo + width - 1)
+
+    def per_shift():
+        second = enumerate_window(normalize(b), Window(-radius, radius))
+        if not second:
+            raise RadiusTooSmallError(f"second operand has no elements in [-{radius}, {radius}]")
+        bits = _per_shift(normalize(a), second, win)
+        return bits, max(abs(e) for e in second)
+
+    want = _outcome(per_shift)
+    got = _outcome(lambda: windowed_sumset(a, b, win, radius))
+    if not isinstance(got, tuple):
+        got = (got.bits, got.interior_margin)
+    assert got == want
