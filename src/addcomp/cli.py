@@ -15,6 +15,7 @@ exit 65.  Output is TSV with a header row, or JSON under --json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -86,7 +87,8 @@ _INT_RE = re.compile(r"-?\d+")
 
 
 class _DslParser:
-    """Recursive descent over the expression grammar in the module docstring."""
+    """Recursive descent over the expression grammar in the module docstring,
+    into the JSON-mirror node that _from_json builds."""
 
     def __init__(self, text: str) -> None:
         self.text = text
@@ -146,20 +148,18 @@ class _DslParser:
 
     # -- grammar
 
-    def parse(self) -> IntSet:
-        s = self._set()
+    def parse(self) -> object:
+        node = self._set()
         self._skip_ws()
         if self.pos != len(self.text):
             raise DslSyntaxError("unexpected trailing input", self.pos)
-        return s
+        return node
 
-    def _brace_ints(self, allow_empty: bool) -> list[int]:
+    def _brace_ints(self) -> list[int]:
         self._expect("{")
         out: list[int] = []
         if self._peek() == "}":
             self.pos += 1
-            if not out and not allow_empty:
-                raise DslSemanticError("finite{} would be the empty set")
             return out
         while True:
             out.append(self._int())
@@ -170,15 +170,15 @@ class _DslParser:
             self._expect("}")
             return out
 
-    def _keywords(self, raw_keys: frozenset[str]) -> dict[str, object]:
-        """key=value pairs up to ')'; values are ints, names, or raw text."""
-        out: dict[str, object] = {}
+    def _keywords(self, out: dict[str, object]) -> dict[str, object]:
+        """key=value pairs up to ')', added to out; values are ints, names,
+        or raw text (the length expressions)."""
         while True:
             key = self._name("a keyword")
             if key in out:
                 raise DslSemanticError(f"duplicate keyword {key}")
             self._expect("=")
-            if key in raw_keys:
+            if key in ("lenI", "lenJ"):
                 out[key] = self._raw_value()
             elif self._peek().isalpha():
                 out[key] = self._name("a value")
@@ -191,98 +191,43 @@ class _DslParser:
             self._expect(")")
             return out
 
-    def _set(self) -> IntSet:
+    def _set(self) -> object:
+        """One expression as its JSON-mirror node."""
         name = self._name("a set expression")
         if name == "nonprimes":
-            return nonprimes()
-        if name == "finite":
-            return finite(self._brace_ints(allow_empty=False))
-        if name == "cofinite":
-            return cofinite(self._brace_ints(allow_empty=True))
-        if name in ("below", "above"):
-            self._expect("(")
-            x = self._int()
-            self._expect(")")
-            return below(x) if name == "below" else above(x)
+            return name
+        if name in ("finite", "cofinite"):
+            return {name: self._brace_ints()}
+        if name not in _CONSTRUCTORS:
+            raise DslSemanticError(f"unknown constructor {name!r}")
+        self._expect("(")
         if name == "ap":
-            self._expect("(")
-            kw = self._keywords(frozenset())
-            extra = set(kw) - {"res", "mod", "side", "from"}
-            if extra:
-                raise DslSemanticError(f"unknown ap keywords {sorted(extra)}")
-            missing = {"res", "mod", "side", "from"} - set(kw)
-            if missing:
-                raise DslSemanticError(f"ap needs {sorted(missing)}")
-            if not isinstance(kw["mod"], int) or kw["mod"] < 1:
-                raise DslSemanticError(f"mod must be a positive integer, got {kw['mod']}")
-            if kw["side"] not in ("below", "above"):
-                raise DslSemanticError(f"side must be below or above, got {kw['side']}")
-            if not isinstance(kw["res"], int) or not isinstance(kw["from"], int):
-                raise DslSemanticError("res and from must be integers")
-            return ap(kw["res"], kw["mod"], kw["side"], kw["from"])
+            return {name: self._keywords({})}
         if name == "family":
-            self._expect("(")
-            rule = self._name("a family rule")
-            if rule == "lemma43":
+            kw = {"rule": self._name("a family rule")}
+            if self._peek() != ",":
                 self._expect(")")
-                return lemma44_set()
-            if rule in ("blocks10", "blocks10-complement"):
-                self._expect(")")
-                return blocks10_family(rule == "blocks10-complement")
-            if rule == "generic":
-                self._expect(",")
-                kw = self._keywords(frozenset({"lenI", "lenJ"}))
-                extra = set(kw) - {"lenI", "lenJ", "origin"}
-                if extra:
-                    raise DslSemanticError(f"unknown family keywords {sorted(extra)}")
-                if "lenI" not in kw or "lenJ" not in kw:
-                    raise DslSemanticError("family(generic, ...) needs lenI and lenJ")
-                origin = kw.get("origin", 0)
-                if not isinstance(origin, int):
-                    raise DslSemanticError("origin must be an integer")
-                return generic_family(str(kw["lenI"]), str(kw["lenJ"]), origin)
-            raise DslSemanticError(f"unknown family rule {rule!r}")
-        if name == "union":
-            self._expect("(")
+                return {name: kw}
+            self.pos += 1
+            return {name: self._keywords(kw)}
+        if name in ("below", "above"):
+            node: object = {name: self._int()}
+        elif name == "neg":
+            node = {name: self._set()}
+        else:
             a = self._set()
             self._expect(",")
-            b = self._set()
-            self._expect(")")
-            return union(a, b)
-        if name == "minus":
-            self._expect("(")
-            a = self._set()
-            self._expect(",")
-            b = self._set()
-            self._expect(")")
-            if not isinstance(b, FiniteSet):
-                raise DslSemanticError("minus removes a finite{...} set only")
-            return minus(a, b)
-        if name == "translate":
-            self._expect("(")
-            a = self._set()
-            self._expect(",")
-            g = self._int()
-            self._expect(")")
-            return translate(a, g)
-        if name == "neg":
-            self._expect("(")
-            a = self._set()
-            self._expect(")")
-            return negate(a)
-        raise DslSemanticError(f"unknown constructor {name!r}")
+            node = {name: [a, self._int() if name == "translate" else self._set()]}
+        self._expect(")")
+        return node
+
+
+_CONSTRUCTORS = ("below", "above", "ap", "family", "union", "minus", "translate", "neg")
 
 
 def parse_set(text: str) -> IntSet:
     """Parse a set expression; syntax errors carry the offset."""
-    try:
-        return _DslParser(text).parse()
-    except (DslSyntaxError, DslSemanticError):
-        raise
-    except OverflowError as e:
-        raise DslSemanticError(str(e)) from None
-    except ToolkitError as e:
-        raise DslSemanticError(str(e)) from None
+    return parse_set_json(_DslParser(text).parse())
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +298,8 @@ def _render(node: object) -> str:
     if not isinstance(node, dict) or len(node) != 1:
         raise DslSemanticError(f"malformed descriptor node {node!r}")
     key, val = next(iter(node.items()))
-    if key == "finite":
-        return "finite{" + ",".join(str(t) for t in val) + "}"
-    if key == "cofinite":
-        return "cofinite{" + ",".join(str(t) for t in val) + "}"
+    if key in ("finite", "cofinite"):
+        return key + "{" + ",".join(str(t) for t in val) + "}"
     if key in ("below", "above"):
         return f"{key}({val})"
     if key == "ap":
@@ -371,10 +314,8 @@ def _render(node: object) -> str:
                 f"lenJ={val['lenJ']}, origin={val['origin']})"
             )
         return f"family({val['rule']})"
-    if key == "union":
-        return f"union({_render(val[0])}, {_render(val[1])})"
-    if key == "minus":
-        return f"minus({_render(val[0])}, {_render(val[1])})"
+    if key in ("union", "minus"):
+        return f"{key}({_render(val[0])}, {_render(val[1])})"
     if key == "translate":
         return f"translate({_render(val[0])}, {val[1]})"
     if key == "neg":
@@ -388,20 +329,29 @@ def to_dsl(s: IntSet) -> str:
 
 
 def parse_set_json(node: object) -> IntSet:
-    """Build a set from the JSON mirror."""
+    """Build a set from the JSON mirror; every malformed node is a
+    DslSemanticError."""
     try:
         return _from_json(node)
-    except (DslSyntaxError, DslSemanticError):
+    except DslSemanticError:
         raise
     except (KeyError, TypeError, IndexError) as e:
         raise DslSemanticError(f"malformed descriptor: {e}") from None
-    except OverflowError as e:
+    except (OverflowError, ToolkitError) as e:
         raise DslSemanticError(str(e)) from None
-    except ToolkitError as e:
-        raise DslSemanticError(str(e)) from None
+
+
+def _check_keywords(what: str, kw: dict, required: set[str], optional: tuple = ()) -> None:
+    extra = set(kw) - required - set(optional)
+    if extra:
+        raise DslSemanticError(f"unknown {what} keywords {sorted(extra)}")
+    missing = required - set(kw)
+    if missing:
+        raise DslSemanticError(f"{what} needs {sorted(missing)}")
 
 
 def _from_json(node: object) -> IntSet:
+    """The one builder: every set expression, DSL or JSON, is built here."""
     if node == "nonprimes" or node == {"nonprimes": {}}:
         return nonprimes()
     if not isinstance(node, dict) or len(node) != 1:
@@ -418,27 +368,26 @@ def _from_json(node: object) -> IntSet:
     if key == "above":
         return above(val)
     if key == "ap":
-        if val["mod"] < 1:
-            raise DslSemanticError(f"mod must be a positive integer, got {val['mod']}")
-        if val["side"] not in ("below", "above"):
-            raise DslSemanticError(f"side must be below or above, got {val['side']}")
+        _check_keywords("ap", val, {"res", "mod", "side", "from"})
         return ap(val["res"], val["mod"], val["side"], val["from"])
     if key == "family":
         rule = val["rule"]
+        if rule == "generic":
+            _check_keywords("family(generic)", val, {"rule", "lenI", "lenJ"}, ("origin",))
+            return generic_family(val["lenI"], val["lenJ"], val.get("origin", 0))
+        if rule not in ("lemma43", "blocks10", "blocks10-complement"):
+            raise DslSemanticError(f"unknown family rule {rule!r}")
+        _check_keywords(f"family({rule})", val, {"rule"})
         if rule == "lemma43":
             return lemma44_set()
-        if rule in ("blocks10", "blocks10-complement"):
-            return blocks10_family(rule == "blocks10-complement")
-        if rule == "generic":
-            return generic_family(val["lenI"], val["lenJ"], val.get("origin", 0))
-        raise DslSemanticError(f"unknown family rule {rule!r}")
+        return blocks10_family(rule == "blocks10-complement")
     if key == "union":
         return union(_from_json(val[0]), _from_json(val[1]))
     if key == "minus":
-        removed = _from_json(val[1])
+        kept, removed = _from_json(val[0]), _from_json(val[1])
         if not isinstance(removed, FiniteSet):
             raise DslSemanticError("minus removes a finite set only")
-        return minus(_from_json(val[0]), removed)
+        return minus(kept, removed)
     if key == "translate":
         return translate(_from_json(val[0]), val[1])
     if key == "neg":
@@ -495,6 +444,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="addcomp", allow_abbrev=False, description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -569,9 +519,7 @@ def _emit(args, header: list[str], rows: list[list], payload: dict) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
         return
-    print("\t".join(header))
-    for row in rows:
-        print("\t".join(str(cell) for cell in row))
+    print("\n".join(["\t".join(header)] + ["\t".join(str(cell) for cell in row) for row in rows]))
 
 
 def _ints(values) -> str:
@@ -719,22 +667,14 @@ def _require(args, flag: str, what: str):
 
 def _cmd_construct(args) -> int:
     what = args.what
-    if what == "thmA2":
-        w = parse_set(_require(args, "--w", what))
-        cset, v = thmA2_pair(w)
+    if what in ("thmA2", "masc"):
+        if what == "thmA2":
+            cset, v = thmA2_pair(parse_set(_require(args, "--w", what)))
+        else:
+            n = _require(args, "--n", what)
+            cset, v = subgroup_masc(n, parse_set(_require(args, "--c", what)))
         rows = [["set", to_dsl(cset)], ["elements", _ints(cset.elements)]]
-        rows += _verdict_rows("mc", v)
-        payload = {
-            "set": to_dsl(cset),
-            "elements": list(cset.elements),
-            "verdict": v.to_json(),
-        }
-    elif what == "masc":
-        n = _require(args, "--n", what)
-        c = parse_set(_require(args, "--c", what))
-        cset, v = subgroup_masc(n, c)
-        rows = [["set", to_dsl(cset)], ["elements", _ints(cset.elements)]]
-        rows += _verdict_rows("mac", v)
+        rows += _verdict_rows("mc" if what == "thmA2" else "mac", v)
         payload = {
             "set": to_dsl(cset),
             "elements": list(cset.elements),
@@ -863,30 +803,17 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_merge_negative_values(argv))
+        args = _build_parser().parse_args(_merge_negative_values(argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as e:
+    except (_UsageError, OverflowError, ToolkitError) as e:
         print(f"addcomp: error: {e}", file=sys.stderr)
-        return 64
-    except (DslSyntaxError, DslSemanticError) as e:
-        print(f"addcomp: error: {e}", file=sys.stderr)
-        return 64
-    except HypothesisNotObservedError as e:
-        print(f"addcomp: error: {e}", file=sys.stderr)
-        if e.report:
+        if isinstance(e, HypothesisNotObservedError) and e.report:
             print(json.dumps(e.report, indent=2), file=sys.stderr)
-        return 65
-    except OverflowError as e:
-        print(f"addcomp: error: {e}", file=sys.stderr)
-        return 65
-    except ToolkitError as e:
-        print(f"addcomp: error: {e}", file=sys.stderr)
-        return 65
+        return 64 if isinstance(e, (_UsageError, DslSyntaxError, DslSemanticError)) else 65
 
 
 if __name__ == "__main__":

@@ -19,10 +19,6 @@ class OutOfDecidableRangeError(ToolkitError):
     """Membership was queried outside a pointwise set's decidable range."""
 
 
-class NonRepresentableError(ToolkitError):
-    """A fold result has no canonical descriptor form."""
-
-
 class TooFewElementsError(ToolkitError):
     """Gap statistics need at least two elements in the window."""
 

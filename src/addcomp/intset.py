@@ -603,14 +603,20 @@ def _rule_block_search(rule: FamilyRule, u: int) -> tuple[int, bool]:
     return lo, u <= rule_end(rule, lo)
 
 
-@dataclass(frozen=True)
-class FamilySet(IntSet):
-    rule: FamilyRule
-    left: TailSpec
-    adds: tuple[int, ...] = ()
-    removes: tuple[int, ...] = ()
-    shift: int = 0
-    negated: bool = False
+class EditedSet(IntSet):
+    """A base pattern seen through a shift, a reflection and finite edits.
+
+    The base lives in inner coordinates u, at t = shift + u (shift - u when
+    negated); ``removes`` are taken out and ``adds`` put in on the outside.
+    A kind supplies ``base_member(u)`` and ``base_flags(ilo, ihi)``: the
+    base membership of the inner run ilo..ihi, and the part of that run it
+    could not decide (None when it decided all of it).
+    """
+
+    adds: tuple[int, ...]
+    removes: tuple[int, ...]
+    shift: int
+    negated: bool
 
     def __post_init__(self) -> None:
         check_i64(self.shift, "shift")
@@ -628,14 +634,6 @@ class FamilySet(IntSet):
 
     def outer(self, u: int) -> int:
         return checked_add(self.shift, -u) if self.negated else checked_add(self.shift, u)
-
-    def base_member(self, u: int) -> bool:
-        if u < self.left.threshold and self.left.pattern(u):
-            return True
-        if u < self.rule.start(1):
-            return False
-        _, inside = _rule_block_search(self.rule, u)
-        return inside
 
     def member(self, t: int) -> bool:
         i = bisect_left(self.removes, t)
@@ -648,7 +646,49 @@ class FamilySet(IntSet):
 
 
 @dataclass(frozen=True)
-class PointwiseSet(IntSet):
+class FamilySet(EditedSet):
+    rule: FamilyRule
+    left: TailSpec
+    adds: tuple[int, ...] = ()
+    removes: tuple[int, ...] = ()
+    shift: int = 0
+    negated: bool = False
+
+    def base_member(self, u: int) -> bool:
+        if u < self.left.threshold and self.left.pattern(u):
+            return True
+        if u < self.rule.start(1):
+            return False
+        _, inside = _rule_block_search(self.rule, u)
+        return inside
+
+    def base_flags(self, ilo: int, ihi: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+        """The left tail, then one slice per block; past the last evaluable
+        block nothing is decided."""
+        flags = np.zeros(ihi - ilo + 1, bool)
+        left, rule = self.left, self.rule
+        thr = min(ihi, left.threshold - 1)
+        if left.kind == "periodic" and thr >= ilo:
+            for r in left.residues:
+                flags[(r - ilo) % left.period : thr - ilo + 1 : left.period] = True
+        u = max(ilo, rule.start(1))  # every coordinate below u is decided
+        try:
+            k = _rule_block_search(rule, u)[0] if u <= ihi else 0
+            while u <= ihi:
+                bhi = rule_end(rule, k)
+                flags[max(rule.start(k) - ilo, 0) : max(bhi - ilo + 1, 0)] = True
+                u = bhi + 1
+                if k >= rule.max_k():
+                    break
+                k += 1
+                u = rule.start(k)
+        except OverflowError:
+            pass
+        return flags, ((max(u, ilo), ihi) if u <= ihi else None)
+
+
+@dataclass(frozen=True)
+class PointwiseSet(EditedSet):
     predicate: str = "nonprimes"
     adds: tuple[int, ...] = ()
     removes: tuple[int, ...] = ()
@@ -658,33 +698,25 @@ class PointwiseSet(IntSet):
     def __post_init__(self) -> None:
         if self.predicate != "nonprimes":
             raise BadParamsError(f"unknown pointwise predicate {self.predicate!r}")
-        check_i64(self.shift, "shift")
-        for t in self.adds:
-            check_i64(t, "added element")
-        for t in self.removes:
-            check_i64(t, "removed element")
-        if list(self.adds) != sorted(set(self.adds)):
-            raise BadParamsError("adds must be sorted and distinct")
-        if list(self.removes) != sorted(set(self.removes)):
-            raise BadParamsError("removes must be sorted and distinct")
-
-    def inner(self, t: int) -> int:
-        return self.shift - t if self.negated else t - self.shift
-
-    def outer(self, u: int) -> int:
-        return checked_add(self.shift, -u) if self.negated else checked_add(self.shift, u)
+        super().__post_init__()
 
     def base_member(self, u: int) -> bool:
         if u < INT64_MIN or u > INT64_MAX:
             raise OutOfDecidableRangeError(f"pointwise query at {u} beyond 64-bit range")
         return not is_prime(u)
 
-    def member(self, t: int) -> bool:
-        if t in self.removes:
-            return False
-        if t in self.adds:
-            return True
-        return self.base_member(self.inner(t))
+    def base_flags(self, ilo: int, ihi: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+        """A segmented sieve; coordinates outside int64 (at one end only)
+        are not decided."""
+        lo, hi = max(ilo, INT64_MIN), min(ihi, INT64_MAX)
+        flags = np.zeros(ihi - ilo + 1, bool)
+        if lo <= hi:
+            flags[lo - ilo : hi - ilo + 1] = ~prime_flags(lo, hi)
+        if ilo < lo:
+            return flags, (ilo, min(lo - 1, ihi))
+        if hi < ihi:
+            return flags, (max(hi + 1, ilo), ihi)
+        return flags, None
 
 
 @dataclass(frozen=True)
@@ -878,48 +910,6 @@ def contains(s: IntSet, t: int) -> bool:
     return check_i64(t, "element") in s
 
 
-def _block_flags(s: FamilySet, ilo: int, ihi: int) -> np.ndarray:
-    """Base membership of the inner coordinates ilo..ihi of a block family:
-    its left tail, then one slice per block."""
-    inner = np.zeros(ihi - ilo + 1, bool)
-    thr = min(ihi, s.left.threshold - 1)
-    if s.left.kind == "periodic" and thr >= ilo:
-        for r in s.left.residues:
-            inner[(r - ilo) % s.left.period : thr - ilo + 1 : s.left.period] = True
-    start1 = s.rule.start(1)
-    if ihi >= start1:
-        k = 1 if ilo <= start1 else _rule_block_search(s.rule, ilo)[0]
-        while s.rule.start(k) <= ihi:
-            blo, bhi = s.rule.start(k), rule_end(s.rule, k)
-            inner[max(blo - ilo, 0) : max(bhi - ilo + 1, 0)] = True
-            if k >= s.rule.max_k():
-                if ihi > bhi:
-                    raise OverflowError("window reaches beyond the block index cap")
-                break
-            k += 1
-    return inner
-
-
-def _nonprime_flags(s: PointwiseSet, ilo: int, ihi: int) -> np.ndarray:
-    """Base membership of the inner coordinates ilo..ihi of the nonprimes.
-
-    Where they leave int64 (at one end only), the first point in window
-    order that no edit decides raises OutOfDecidableRangeError.
-    """
-    lo, hi = max(ilo, INT64_MIN), min(ihi, INT64_MAX)
-    if (lo, hi) != (ilo, ihi):
-        a, b = (ilo, min(lo - 1, ihi)) if ilo < lo else (max(hi + 1, ilo), ihi)
-        ta, tb = sorted((s.outer(a), s.outer(b)))
-        edited = set(s.adds) | set(s.removes)
-        t = next((t for t in range(ta, tb + 1) if t not in edited), None)
-        if t is not None:
-            raise OutOfDecidableRangeError(f"pointwise query at {s.inner(t)} beyond 64-bit range")
-    inner = np.zeros(ihi - ilo + 1, bool)
-    if lo <= hi:
-        inner[lo - ilo : hi - ilo + 1] = ~prime_flags(lo, hi)
-    return inner
-
-
 def enumerate_window(s: IntSet, window: Window) -> list[int]:
     """Sorted elements of s in the window."""
     if isinstance(s, FiniteSet):
@@ -936,15 +926,19 @@ def enumerate_window(s: IntSet, window: Window) -> list[int]:
         out.extend(s.core[lo:hi])
         out.extend(s.right.elements(max(window.lo, s.core_hi + 1), window.hi))
         return out
-    if isinstance(s, (FamilySet, PointwiseSet)):
+    if isinstance(s, EditedSet):
         # base membership over the window's inner coordinates, then back to
         # window order with the edits applied
-        if s.negated:
-            ilo, ihi = s.shift - window.hi, s.shift - window.lo
-        else:
-            ilo, ihi = window.lo - s.shift, window.hi - s.shift
-        fill = _block_flags if isinstance(s, FamilySet) else _nonprime_flags
-        flags = fill(s, ilo, ihi)
+        ilo, ihi = sorted((s.inner(window.lo), s.inner(window.hi)))
+        flags, undecided = s.base_flags(ilo, ihi)
+        if undecided is not None:
+            # the first point there in window order that no edit decides
+            # raises what per-point membership raises
+            ta, tb = sorted(map(s.outer, undecided))
+            edited = set(s.adds) | set(s.removes)
+            t = next((t for t in range(ta, tb + 1) if t not in edited), None)
+            if t is not None:
+                s.base_member(s.inner(t))
         if s.negated:
             flags = flags[::-1]
         flags[[t - window.lo for t in s.adds if t in window]] = True
@@ -967,14 +961,9 @@ def normalize(s: IntSet) -> IntSet:
         return s
     if isinstance(s, BEPSet):
         return make_bep(s.left, s.core, s.core_lo, s.core_hi, s.right)
-    if isinstance(s, (FamilySet, PointwiseSet)):
-        base = replace(s, adds=(), removes=())
-        adds = tuple(sorted({t for t in s.adds if t not in s.removes and not base.member(t)}))
-        removes = tuple(sorted({t for t in s.removes if base.member(t)}))
-        left = s.left.reduced() if isinstance(s, FamilySet) else None
-        if isinstance(s, FamilySet):
-            return FamilySet(s.rule, left, adds, removes, s.shift, s.negated)
-        return PointwiseSet(s.predicate, adds, removes, s.shift, s.negated)
+    if isinstance(s, EditedSet):
+        base = {"left": s.left.reduced()} if isinstance(s, FamilySet) else {}
+        return _edit(s, s.adds, s.removes, **base)
     if isinstance(s, UnionSet):
         parts: list[IntSet] = []
         stack = [normalize(p) for p in s.parts]
@@ -989,6 +978,19 @@ def normalize(s: IntSet) -> IntSet:
             return folded[0]
         return UnionSet(tuple(sorted(folded, key=_sort_key)))
     raise BadParamsError(f"unknown descriptor {type(s).__name__}")
+
+
+def _edit(s: EditedSet, adds: Iterable[int], removes: Iterable[int], **base) -> EditedSet:
+    """s's base pattern (its fields replaced by ``base``) under the given
+    edits, in normal form: a removal wins over an add, adds lie outside the
+    base and removes inside it."""
+    unedited = replace(s, adds=(), removes=(), **base)
+    removes = set(removes)
+    return replace(
+        unedited,
+        adds=tuple(sorted({t for t in adds if t not in removes and not unedited.member(t)})),
+        removes=tuple(sorted(t for t in removes if unedited.member(t))),
+    )
 
 
 def _sort_key(s: IntSet) -> tuple:
@@ -1016,16 +1018,12 @@ def _fold_parts(parts: list[IntSet]) -> list[IntSet]:
     return parts
 
 
-def _tail_hits(tail: TailSpec, r: int) -> bool:
-    return tail.kind == "periodic" and (r % tail.period) in tail.residues
-
-
 def _merge_patterns(a: TailSpec, b: TailSpec, threshold: int) -> TailSpec:
     """Union of two tail patterns as one TailSpec at the given threshold."""
     if a.is_empty and b.is_empty:
         return TailSpec.empty(threshold)
     period = math.lcm(a.period if not a.is_empty else 1, b.period if not b.is_empty else 1)
-    res = {r for r in range(period) if _tail_hits(a, r) or _tail_hits(b, r)}
+    res = {r for r in range(period) if a.pattern(r) or b.pattern(r)}
     return TailSpec.periodic(threshold, period, res).reduced()
 
 
@@ -1041,10 +1039,8 @@ def _fold_pair(a: IntSet, b: IntSet) -> IntSet | None:
         members = set(a.elements)
         members.update(enumerate_window(b, Window(lo, hi)) if lo <= hi else [])
         return make_bep(b.left, members, lo, hi, b.right)
-    if isinstance(a, FiniteSet) and isinstance(b, (FamilySet, PointwiseSet)):
-        removes = tuple(t for t in b.removes if t not in set(a.elements))
-        adds = tuple(sorted(set(b.adds) | set(a.elements)))
-        return normalize(replace(b, adds=adds, removes=removes))
+    if isinstance(a, FiniteSet) and isinstance(b, EditedSet):
+        return _edit(b, b.adds + a.elements, set(b.removes) - set(a.elements))
     if isinstance(a, BEPSet) and isinstance(b, BEPSet):
         lo = min(a.core_lo, b.core_lo)
         hi = max(a.core_hi, b.core_hi)
@@ -1067,44 +1063,32 @@ def _fold_pair(a: IntSet, b: IntSet) -> IntSet | None:
         theta = min(b.left.threshold, inner_bep.core_lo)
         merged_left = _merge_patterns(b.left, inner_bep.left, theta)
         band_hi = max(b.left.threshold - 1, inner_bep.core_hi)
-        band_pts: list[int] = []
+        adds = list(b.adds)
         if theta <= band_hi:
-            band_pts.extend(
-                u for u in b.left.elements(theta, min(band_hi, b.left.threshold - 1))
-            )
-            band_pts.extend(enumerate_window(inner_bep, Window(theta, band_hi)))
-        adds = set(b.adds)
-        adds.update(b.outer(u) for u in band_pts)
-        removes = tuple(t for t in b.removes if not a.member(t))
-        return normalize(
-            FamilySet(b.rule, merged_left, tuple(sorted(adds)), removes, b.shift, b.negated)
-        )
-    if isinstance(a, FamilySet) and isinstance(b, FamilySet):
-        if (a.rule, a.shift, a.negated) != (b.rule, b.shift, b.negated):
+            band = b.left.elements(theta, min(band_hi, b.left.threshold - 1))
+            band += enumerate_window(inner_bep, Window(theta, band_hi))
+            adds.extend(b.outer(u) for u in band)
+        removes = [t for t in b.removes if not a.member(t)]
+        return _edit(b, adds, removes, left=merged_left)
+    if isinstance(a, EditedSet) and type(b) is type(a):
+        # one base under both (the pointwise predicate is always the nonprimes)
+        if (a.shift, a.negated) != (b.shift, b.negated):
             return None
-        theta = min(a.left.threshold, b.left.threshold)
-        merged_left = _merge_patterns(a.left, b.left, theta)
-        band_hi = max(a.left.threshold, b.left.threshold) - 1
-        band_pts: list[int] = []
-        if theta <= band_hi:
-            band_pts.extend(a.left.elements(theta, min(band_hi, a.left.threshold - 1)))
-            band_pts.extend(b.left.elements(theta, min(band_hi, b.left.threshold - 1)))
-        adds = set(a.adds) | set(b.adds)
-        adds.update(a.outer(u) for u in band_pts)
-        removes = tuple(
-            sorted(t for t in set(a.removes) | set(b.removes) if not a.member(t) and not b.member(t))
-        )
-        return normalize(
-            FamilySet(a.rule, merged_left, tuple(sorted(adds)), removes, a.shift, a.negated)
-        )
-    if isinstance(a, PointwiseSet) and isinstance(b, PointwiseSet):
-        if (a.predicate, a.shift, a.negated) != (b.predicate, b.shift, b.negated):
-            return None
-        adds = tuple(sorted(set(a.adds) | set(b.adds)))
-        removes = tuple(
-            sorted(t for t in set(a.removes) | set(b.removes) if not a.member(t) and not b.member(t))
-        )
-        return normalize(PointwiseSet(a.predicate, adds, removes, a.shift, a.negated))
+        adds = list(a.adds + b.adds)
+        base = {}
+        if isinstance(a, FamilySet):
+            if a.rule != b.rule:
+                return None
+            # the merged left tail starts at the lower threshold; points of
+            # either tail between the two thresholds become adds
+            theta = min(a.left.threshold, b.left.threshold)
+            band_hi = max(a.left.threshold, b.left.threshold) - 1
+            for x in (a, b):
+                band = x.left.elements(theta, min(band_hi, x.left.threshold - 1))
+                adds.extend(a.outer(u) for u in band)
+            base = {"left": _merge_patterns(a.left, b.left, theta)}
+        removes = [t for t in a.removes + b.removes if not a.member(t) and not b.member(t)]
+        return _edit(a, adds, removes, **base)
     return None
 
 
@@ -1129,10 +1113,8 @@ def minus(s: IntSet, removed: Iterable[int] | FiniteSet) -> IntSet:
         hi = max([s.core_hi] + [t for t in gone])
         members = set(enumerate_window(s, Window(lo, hi))) - gone if lo <= hi else set()
         return make_bep(s.left, members, lo, hi, s.right)
-    if isinstance(s, (FamilySet, PointwiseSet)):
-        adds = tuple(t for t in s.adds if t not in gone)
-        removes = tuple(sorted(set(s.removes) | gone))
-        return normalize(replace(s, adds=adds, removes=removes))
+    if isinstance(s, EditedSet):
+        return _edit(s, s.adds, gone.union(s.removes))
     if isinstance(s, UnionSet):
         kept: list[IntSet] = []
         for p in s.parts:
@@ -1168,7 +1150,7 @@ def translate(s: IntSet, g: int) -> IntSet:
             checked_add(s.core_hi, g),
             s.right.shifted(g),
         )
-    if isinstance(s, (FamilySet, PointwiseSet)):
+    if isinstance(s, EditedSet):
         return replace(
             s,
             shift=checked_add(s.shift, g),
@@ -1193,7 +1175,7 @@ def negate(s: IntSet) -> IntSet:
             -s.core_lo,
             s.left.mirrored(-s.core_lo),
         )
-    if isinstance(s, (FamilySet, PointwiseSet)):
+    if isinstance(s, EditedSet):
         return replace(
             s,
             shift=-s.shift,
@@ -1318,19 +1300,7 @@ def min_element(s: IntSet) -> int | None:
     if isinstance(s, FamilySet):
         if s.negated or not s.left.is_empty:
             return None
-        u = s.rule.start(1)
-        candidates = []
-        while True:
-            t = s.outer(u)
-            if t not in s.removes:
-                candidates.append(t)
-                break
-            nxt = _family_base_min_ge(s, u + 1)
-            if nxt is None:
-                break
-            u = nxt
-        candidates.extend(s.adds[:1])
-        return min(candidates) if candidates else None
+        return min_element_ge(s, INT64_MIN)
     if isinstance(s, PointwiseSet):
         return None
     if isinstance(s, UnionSet):

@@ -155,6 +155,8 @@ def is_complement(
             window=None if exact else win,
             detail="full coverage by the long-runs argument" if exact else "no gap on the window",
         )
+    if mask.interior() is None:
+        return _no_interior(mask)
     bad = mask.uncovered_interior()
     if bad:
         exact = mask.interior_margin == 0
@@ -175,6 +177,16 @@ def is_complement(
         window=win,
         detail="covered on the trusted interior"
         + (f"; {len(edge)} untrusted edge gaps" if edge else ""),
+    )
+
+
+def _no_interior(mask) -> Verdict:
+    """An empty trusted interior is no evidence either way."""
+    return Verdict(
+        "unknown",
+        False,
+        window=mask.window,
+        detail=f"the enumeration margin {mask.interior_margin} leaves no trusted interior",
     )
 
 
@@ -229,6 +241,8 @@ def asymptotic_exceptional_set(
         mask = windowed_sumset(nw, nc, win, radius)
     except (UndecidablePairError, RadiusTooSmallError) as e:
         return Verdict("unknown", False, window=win, detail=str(e))
+    if mask.interior() is None:
+        return _no_interior(mask)
     bad = mask.uncovered_interior()
     if not bad:
         return Verdict(

@@ -5,9 +5,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addcomp.cli import descriptor_json, main, parse_set, parse_set_json, to_dsl
-from addcomp.errors import DslSemanticError, DslSyntaxError
+from addcomp.errors import DslSemanticError, DslSyntaxError, ToolkitError
 from addcomp.intset import (
     FamilySet,
     Window,
@@ -249,3 +251,115 @@ def test_negative_window_value_accepted(capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out == ["element", "-3"]
+
+
+# ---------------------------------------------------------------------------
+# the DSL and the JSON mirror build the same sets
+
+_NO_JSON = object()  # a draft the JSON mirror cannot spell: a repeated key
+_NAMES = st.sampled_from(["x", "k", "below"])
+_BREAKS = ["none"] * 6 + ["unknown", "missing", "duplicate", "name", "mod0", "side"]
+
+
+@st.composite
+def _keywords(draw, pairs: list) -> tuple[str, object]:
+    """Keyword text and dict, maybe broken: an unknown, missing or repeated
+    keyword, a name where an int belongs, mod=0, or a bad side."""
+    how = draw(st.sampled_from(_BREAKS))
+    keys = [k for k, _ in pairs]
+    if how == "unknown":
+        pairs.append(("bogus", 1))
+    elif how == "missing":
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    elif how == "duplicate":
+        pairs.append(draw(st.sampled_from(pairs)))
+    elif how == "name":
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], draw(_NAMES))
+    elif how == "mod0" and "mod" in keys:
+        pairs[keys.index("mod")] = ("mod", 0)
+    elif how == "side" and "side" in keys:
+        pairs[keys.index("side")] = ("side", draw(st.sampled_from(["left", 3])))
+    text = ", ".join(f"{k}={v}" for k, v in pairs)
+    node = dict(pairs) if len({k for k, _ in pairs}) == len(pairs) else _NO_JSON
+    return text, node
+
+
+def _ints(values: list[int]) -> str:
+    return ",".join(map(str, values))
+
+
+@st.composite
+def _leaf(draw) -> tuple[str, object]:
+    kind = draw(st.sampled_from(["nonprimes", "finite", "cofinite", "ray", "ap", "family"]))
+    if kind == "nonprimes":
+        return "nonprimes", "nonprimes"
+    if kind in ("finite", "cofinite"):
+        xs = draw(st.lists(st.integers(-30, 30), min_size=int(kind == "finite"), max_size=4))
+        return f"{kind}{{{_ints(xs)}}}", {kind: xs}
+    if kind == "ray":
+        side, x = draw(st.sampled_from(["below", "above"])), draw(st.integers(-30, 30))
+        return f"{side}({x})", {side: x}
+    if kind == "ap":
+        text, kw = draw(_keywords([
+            ("res", draw(st.integers(-5, 5))),
+            ("mod", draw(st.integers(1, 6))),
+            ("side", draw(st.sampled_from(["below", "above"]))),
+            ("from", draw(st.integers(-30, 30))),
+        ]))
+        return f"ap({text})", {"ap": kw}
+    rule = draw(st.sampled_from(["lemma43", "blocks10", "blocks10-complement", "generic"]))
+    if rule == "generic":
+        len_i, len_j = draw(st.sampled_from([("k", "k+1"), ("2*k+1", "3*k")]))
+        pairs = [("lenI", len_i), ("lenJ", len_j)]
+        if draw(st.booleans()):
+            pairs.append(("origin", draw(st.integers(-20, 20))))
+    elif draw(st.booleans()):
+        return f"family({rule})", {"family": {"rule": rule}}
+    else:
+        pairs = [("origin", 3)]  # no keyword belongs to the fixed rules
+    text, kw = draw(_keywords(pairs))
+    node = _NO_JSON if kw is _NO_JSON else {"family": {"rule": rule, **kw}}
+    return f"family({rule}, {text})" if text else f"family({rule})", node
+
+
+def _join(key: str, value: object, *children: object) -> object:
+    return _NO_JSON if _NO_JSON in children else {key: value}
+
+
+@st.composite
+def _draft(draw, depth: int = 3) -> tuple[str, object]:
+    """A set expression tree as DSL text and JSON-mirror node."""
+    kind = draw(st.sampled_from(["leaf"] * 3 + (["union", "minus", "translate", "neg"] if depth else [])))
+    if kind == "leaf":
+        return draw(_leaf())
+    a_text, a = draw(_draft(depth - 1))
+    if kind == "neg":
+        return f"neg({a_text})", _join("neg", a, a)
+    if kind == "translate":
+        g = draw(st.integers(-50, 50))
+        return f"translate({a_text}, {g})", _join("translate", [a, g], a)
+    if kind == "minus" and draw(st.integers(0, 3)):
+        xs = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4))
+        b_text, b = f"finite{{{_ints(xs)}}}", {"finite": xs}
+    else:  # union, or minus of any set
+        b_text, b = draw(_draft(depth - 1))
+    return f"{kind}({a_text}, {b_text})", _join(kind, [a, b], a, b)
+
+
+def _members(build) -> object:
+    try:
+        return enumerate_window(build(), Window(-300, 300))
+    except (OverflowError, ToolkitError) as e:
+        return type(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_draft())
+def test_dsl_and_json_mirror_build_the_same_set(draft):
+    text, node = draft
+    got = _members(lambda: parse_set(text))
+    if node is _NO_JSON:
+        assert got is DslSemanticError, text
+    else:
+        assert got == _members(lambda: parse_set_json(node)), text

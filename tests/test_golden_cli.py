@@ -132,11 +132,21 @@ _RANGE_ERRORS = [
 ]
 
 
+# a radius margin wider than half the window leaves no trusted interior
+_EMPTY_INTERIOR = [
+    ["check", "--w", "family(lemma43)", "--c", "family(lemma43)", "--predicate", "complement",
+     "--window=0:10", "--radius", "100"],
+]
+
+
 def _both_formats(cases: list[list[str]]) -> list[list[str]]:
     return [argv + fmt for argv in cases for fmt in ([], ["--json"])]
 
 
-CASES = _both_formats(_CASES) + _ERRORS + _both_formats(_FAR_AND_EDITED) + _RANGE_ERRORS
+CASES = (
+    _both_formats(_CASES) + _ERRORS + _both_formats(_FAR_AND_EDITED) + _RANGE_ERRORS
+    + _EMPTY_INTERIOR
+)
 
 
 def _mask(argv: list[str], out: str) -> str:

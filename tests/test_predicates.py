@@ -357,6 +357,15 @@ def test_verdict_unknown_for_family_pair():
     assert v.exit_code() == 2
 
 
+def test_empty_trusted_interior_is_unknown():
+    """A radius margin that swallows the window leaves no evidence."""
+    w = lemma44_set()
+    for predicate in (is_complement, is_asymptotic_complement, asymptotic_exceptional_set):
+        v = predicate(w, w, Window(0, 10), 100)
+        assert v.status == "unknown" and not v.exact, predicate.__name__
+        assert "no trusted interior" in v.detail
+
+
 def test_verdict_json_round_trip():
     v = asymptotic_exceptional_set(nonprimes(), finite([0, 1]))
     blob = v.to_json()
