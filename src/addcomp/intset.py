@@ -35,6 +35,8 @@ unions are folded pairwise wherever a closed form exists.
 from __future__ import annotations
 
 import ast
+import heapq
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -633,7 +635,7 @@ class EditedSet(IntSet):
         return self.shift - t if self.negated else t - self.shift
 
     def outer(self, u: int) -> int:
-        return checked_add(self.shift, -u) if self.negated else checked_add(self.shift, u)
+        return self.shift - u if self.negated else self.shift + u
 
     def member(self, t: int) -> bool:
         i = bisect_left(self.removes, t)
@@ -1230,40 +1232,27 @@ def classify(s: IntSet) -> Classification:
     two-sided periodic sets report their period without the flag.
     """
     s = normalize(s)
+    bounded = (_toward(s, -1)[0], _toward(s, 1)[0])
     if isinstance(s, FiniteSet):
-        return Classification("finite", True, True, False, None)
+        return Classification("finite", *bounded, False, None)
     if isinstance(s, CofiniteSet):
-        return Classification("cofinite", False, False, False, 1, "full pattern beyond exclusions")
+        return Classification("cofinite", *bounded, False, 1, "full pattern beyond exclusions")
     if isinstance(s, BEPSet):
-        bb = s.left.is_empty
-        ba = s.right.is_empty
-        ep = bb and s.right.kind == "periodic"
-        if ep:
-            period: int | None = s.right.period
-        elif s.left.kind == "periodic" and s.right.kind == "periodic":
-            period = math.lcm(s.left.period, s.right.period)
-        elif s.left.kind == "periodic":
-            period = s.left.period
-        elif s.right.kind == "periodic":
-            period = s.right.period
-        else:
-            period = None
+        ep = bounded[0] and s.right.kind == "periodic"
+        periods = [tail.period for tail in (s.left, s.right) if not tail.is_empty]
+        period = math.lcm(*periods) if periods else None
         detail = "" if ep else ("two-sided pattern; period reported for information" if period else "")
-        return Classification("bep", bb, ba, ep, period, detail)
+        return Classification("bep", *bounded, ep, period, detail)
     if isinstance(s, FamilySet):
-        base_bb = s.left.is_empty
-        bb, ba = (False, base_bb) if s.negated else (base_bb, False)
         return Classification(
-            "family", bb, ba, False, None, "block gaps grow without bound, no period"
+            "family", *bounded, False, None, "block gaps grow without bound, no period"
         )
     if isinstance(s, PointwiseSet):
-        return Classification("pointwise", False, False, False, None)
+        return Classification("pointwise", *bounded, False, None)
     if isinstance(s, UnionSet):
-        cls = [classify(p) for p in s.parts]
         return Classification(
             "union",
-            all(c.bounded_below for c in cls),
-            all(c.bounded_above for c in cls),
+            *bounded,
             False,
             None,
             "unfolded union; flags from parts, periodicity not decided",
@@ -1275,286 +1264,174 @@ def classify(s: IntSet) -> Classification:
 # structural queries used by the decision procedures
 
 
+def _tail_shape(tail: TailSpec) -> tuple[bool, bool, bool]:
+    return tail.is_empty, tail.is_full, not tail.is_empty
+
+
+def _toward(s: IntSet, d: int) -> tuple[bool, bool, bool]:
+    """The shape of s toward +infinity (d > 0) or -infinity (d < 0): whether
+    it is bounded that way, provably has runs of unbounded length there, and
+    provably has bounded gaps there.
+
+    Family blocks grow in length and in gap; the nonprimes have factorial
+    runs upward, gaps of at most 2 beyond 4 and a full ray downward; finite
+    edits change none of the three.
+    """
+    if isinstance(s, FiniteSet):
+        return True, False, False
+    if isinstance(s, (CofiniteSet, PointwiseSet)):
+        return False, True, True
+    if isinstance(s, BEPSet):
+        return _tail_shape(s.right if d > 0 else s.left)
+    if isinstance(s, FamilySet):
+        if (d < 0) if s.negated else (d > 0):
+            return False, True, False
+        return _tail_shape(s.left)
+    if isinstance(s, UnionSet):
+        bounded, runs, gaps = zip(*(_toward(p, d) for p in s.parts))
+        return all(bounded), any(runs), any(gaps)
+    raise BadParamsError(f"unknown descriptor {type(s).__name__}")
+
+
 def is_infinite(s: IntSet) -> bool:
     s = normalize(s)
-    if isinstance(s, FiniteSet):
-        return False
-    if isinstance(s, UnionSet):
-        return any(is_infinite(p) for p in s.parts)
-    return True
-
-
-def min_element(s: IntSet) -> int | None:
-    """Smallest element, or None when unbounded below."""
-    s = normalize(s)
-    if isinstance(s, FiniteSet):
-        return s.elements[0]
-    if isinstance(s, CofiniteSet):
-        return None
-    if isinstance(s, BEPSet):
-        if not s.left.is_empty:
-            return None
-        if s.core:
-            return s.core[0]
-        return min(s.right.elements(s.core_hi + 1, s.core_hi + s.right.period))
-    if isinstance(s, FamilySet):
-        if s.negated or not s.left.is_empty:
-            return None
-        return min_element_ge(s, INT64_MIN)
-    if isinstance(s, PointwiseSet):
-        return None
-    if isinstance(s, UnionSet):
-        mins = [min_element(p) for p in s.parts]
-        if any(m is None for m in mins):
-            return None
-        return min(m for m in mins if m is not None)
-    raise BadParamsError(f"unknown descriptor {type(s).__name__}")
-
-
-def _family_base_min_ge(s: FamilySet, u: int) -> int | None:
-    """Smallest base element (inner coords) >= u, tail included."""
-    if u < s.left.threshold:
-        cand = None
-        for r in sorted(s.left.residues):
-            first = u + ((r - u) % s.left.period) if not s.left.is_empty else None
-            if first is not None and first < s.left.threshold:
-                cand = first if cand is None else min(cand, first)
-        if cand is not None:
-            return cand
-        u = s.left.threshold
-    if u <= s.rule.start(1):
-        return s.rule.start(1)
-    k, inside = _rule_block_search(s.rule, u)
-    if inside:
-        return u
-    if k >= s.rule.max_k():
-        raise OverflowError("search beyond the block index cap")
-    return s.rule.start(k + 1)
-
-
-def _family_base_max_le(s: FamilySet, u: int) -> int | None:
-    """Largest base element (inner coords) <= u, tail included."""
-    if u >= s.rule.start(1):
-        k, inside = _rule_block_search(s.rule, u)
-        if inside:
-            return u
-        if k >= 1:
-            return rule_end(s.rule, k)
-    bound = min(u, s.left.threshold - 1)
-    if not s.left.is_empty:
-        best = None
-        for r in s.left.residues:
-            c = bound - ((bound - r) % s.left.period)
-            best = c if best is None else max(best, c)
-        return best
-    return None
-
-
-def max_element_le(s: IntSet, t: int) -> int | None:
-    """Largest element of s that is <= t, or None if there is none."""
-    check_i64(t, "bound")
-    if isinstance(s, FiniteSet):
-        i = bisect_right(s.elements, t)
-        return s.elements[i - 1] if i else None
-    if isinstance(s, CofiniteSet):
-        c = t
-        ex = set(s.excluded)
-        while c in ex:
-            c -= 1
-        return c
-    if isinstance(s, BEPSet):
-        if t > s.core_hi and not s.right.is_empty:
-            best = None
-            for r in s.right.residues:
-                c = t - ((t - r) % s.right.period)
-                if c > s.core_hi:
-                    best = c if best is None else max(best, c)
-            if best is not None:
-                return best
-        bound = min(t, s.core_hi)
-        i = bisect_right(s.core, bound)
-        if i:
-            return s.core[i - 1]
-        bound = min(t, s.core_lo - 1)
-        if not s.left.is_empty:
-            best = None
-            for r in s.left.residues:
-                c = bound - ((bound - r) % s.left.period)
-                best = c if best is None else max(best, c)
-            return best
-        return None
-    if isinstance(s, FamilySet):
-        if s.negated:
-            mirror = negate(s)
-            assert isinstance(mirror, FamilySet)
-            v = min_element_ge(mirror, -t)
-            return -v if v is not None else None
-        cand: int | None = None
-        u = s.inner(t)
-        while True:
-            b = _family_base_max_le(s, u)
-            if b is None:
-                break
-            tb = s.outer(b)
-            if tb not in s.removes:
-                cand = tb
-                break
-            u = b - 1
-        for x in reversed(s.adds):
-            if x <= t:
-                cand = x if cand is None else max(cand, x)
-                break
-        return cand
-    if isinstance(s, PointwiseSet):
-        c = t
-        for _ in range(100_000):
-            if s.member(c):
-                return c
-            c -= 1
-        return None
-    if isinstance(s, UnionSet):
-        vals = [max_element_le(p, t) for p in s.parts]
-        vals = [v for v in vals if v is not None]
-        return max(vals) if vals else None
-    raise BadParamsError(f"unknown descriptor {type(s).__name__}")
-
-
-def min_element_ge(s: IntSet, t: int) -> int | None:
-    """Smallest element of s that is >= t, or None if there is none."""
-    check_i64(t, "bound")
-    if isinstance(s, FiniteSet):
-        i = bisect_left(s.elements, t)
-        return s.elements[i] if i < len(s.elements) else None
-    if isinstance(s, CofiniteSet):
-        c = t
-        ex = set(s.excluded)
-        while c in ex:
-            c += 1
-        return c
-    if isinstance(s, BEPSet):
-        if t < s.core_lo and not s.left.is_empty:
-            best = None
-            for r in s.left.residues:
-                c = t + ((r - t) % s.left.period)
-                if c < s.core_lo:
-                    best = c if best is None else min(best, c)
-            if best is not None:
-                return best
-        bound = max(t, s.core_lo)
-        i = bisect_left(s.core, bound)
-        if i < len(s.core):
-            return s.core[i]
-        bound = max(t, s.core_hi + 1)
-        if not s.right.is_empty:
-            best = None
-            for r in s.right.residues:
-                c = bound + ((r - bound) % s.right.period)
-                best = c if best is None else min(best, c)
-            return best
-        return None
-    if isinstance(s, FamilySet):
-        if s.negated:
-            mirror = negate(s)
-            assert isinstance(mirror, FamilySet)
-            v = max_element_le(mirror, -t)
-            return -v if v is not None else None
-        cand: int | None = None
-        u = s.inner(t)
-        while True:
-            b = _family_base_min_ge(s, u)
-            if b is None:
-                break
-            tb = s.outer(b)
-            if tb not in s.removes:
-                cand = tb
-                break
-            u = b + 1
-        for x in s.adds:
-            if x >= t:
-                cand = x if cand is None else min(cand, x)
-                break
-        return cand
-    if isinstance(s, PointwiseSet):
-        c = t
-        for _ in range(100_000):
-            if s.member(c):
-                return c
-            c += 1
-        return None
-    if isinstance(s, UnionSet):
-        vals = [min_element_ge(p, t) for p in s.parts]
-        vals = [v for v in vals if v is not None]
-        return min(vals) if vals else None
-    raise BadParamsError(f"unknown descriptor {type(s).__name__}")
-
-
-def smallest_abs_elements(s: IntSet, count: int, bound: int = 10**6) -> list[int]:
-    """Up to ``count`` elements ordered by absolute value, ties negative first."""
-    if isinstance(s, FiniteSet):
-        # the scan below would walk the whole bound when fewer than count exist
-        ordered = sorted(s.elements, key=lambda t: (abs(t), t > 0))
-        return [t for t in ordered if abs(t) <= bound][:count]
-    out: list[int] = []
-    if 0 in s:
-        out.append(0)
-    m = 1
-    while len(out) < count and m <= bound:
-        if -m in s:
-            out.append(-m)
-        if len(out) < count and m in s:
-            out.append(m)
-        m += 1
-    return out[:count]
+    return not (_toward(s, 1)[0] and _toward(s, -1)[0])
 
 
 def runs_unbounded_toward(s: IntSet, direction: int) -> bool:
     """Whether s provably contains intervals of unbounded length toward
-    +infinity (direction > 0) or -infinity (direction < 0).
-
-    Family blocks have strictly increasing lengths; the nonprime predicate
-    has factorial runs upward and a full ray downward; finite edits cannot
-    destroy either property.
-    """
-    s = normalize(s)
-    if isinstance(s, FiniteSet):
-        return False
-    if isinstance(s, CofiniteSet):
-        return True
-    if isinstance(s, BEPSet):
-        tail = s.right if direction > 0 else s.left
-        return tail.is_full
-    if isinstance(s, FamilySet):
-        forward = direction < 0 if s.negated else direction > 0
-        if forward:
-            return True
-        return s.left.is_full
-    if isinstance(s, PointwiseSet):
-        return True
-    if isinstance(s, UnionSet):
-        return any(runs_unbounded_toward(p, direction) for p in s.parts)
-    return False
+    +infinity (direction > 0) or -infinity (direction < 0)."""
+    return _toward(normalize(s), direction)[1]
 
 
 def gaps_bounded_toward(s: IntSet, direction: int) -> bool:
     """Whether s provably has bounded gaps toward the given direction
     (infinitely many elements with gap sizes bounded by a constant)."""
-    s = normalize(s)
+    return _toward(normalize(s), direction)[2]
+
+
+def _sorted_next(seq: tuple[int, ...], t: int, d: int) -> int | None:
+    """The nearest entry of the sorted seq to t in direction d, t included."""
+    if d > 0:
+        i = bisect_left(seq, t)
+        return seq[i] if i < len(seq) else None
+    i = bisect_right(seq, t)
+    return seq[i - 1] if i else None
+
+
+def _pattern_next(tail: TailSpec, t: int, d: int) -> int | None:
+    """The nearest point of the tail's pattern to t in direction d, t
+    included, ignoring the threshold."""
+    if tail.is_empty:
+        return None
+    return t + d * min((d * (r - t)) % tail.period for r in tail.residues)
+
+
+def _base_next(s: FamilySet, u: int, d: int) -> int | None:
+    """The nearest base point of s to u in direction d, inner coordinates.
+    The left tail lies below the blocks: it is searched first upward and
+    last downward."""
+    rule, thr = s.rule, s.left.threshold
+    if d > 0:
+        c = _pattern_next(s.left, u, 1) if u < thr else None
+        if c is not None and c < thr:
+            return c
+        u = max(u, thr, rule.start(1))
+    elif u < rule.start(1):
+        return _pattern_next(s.left, min(u, thr - 1), -1)
+    k, inside = _rule_block_search(rule, u)
+    if inside:
+        return u
+    return rule.start(k + 1) if d > 0 else rule_end(rule, k)
+
+
+def _nearer(d: int, values: Iterable[int | None]) -> int | None:
+    return (min if d > 0 else max)((v for v in values if v is not None), default=None)
+
+
+def _nearest(s: IntSet, t: int, d: int) -> int | None:
+    """The least element of s that is >= t (d = 1) or the greatest that is
+    <= t (d = -1), or None when there is none.  The element found may lie
+    outside int64; the public queries raise OverflowError for it."""
     if isinstance(s, FiniteSet):
-        return False
-    if isinstance(s, CofiniteSet):
-        return True
+        return _sorted_next(s.elements, t, d)
+    if isinstance(s, (CofiniteSet, PointwiseSet)):
+        # finitely many points are missing past the removes: the nonprimes
+        # never miss three in a row
+        while not s.member(t):
+            t += d
+        return t
     if isinstance(s, BEPSet):
-        tail = s.right if direction > 0 else s.left
-        return tail.kind == "periodic"
+        # in walk order: the tail before the core, the core, the tail after it
+        near, far = (s.left, s.right) if d > 0 else (s.right, s.left)
+        first, last = (s.core_lo, s.core_hi) if d > 0 else (s.core_hi, s.core_lo)
+        c = _pattern_next(near, t, d) if d * (t - first) < 0 else None
+        if c is not None and d * (c - first) < 0:
+            return c
+        c = _sorted_next(s.core, t, d)
+        if c is not None:
+            return c
+        return _pattern_next(far, t if d * (t - last) > 0 else last + d, d)
     if isinstance(s, FamilySet):
-        forward = direction < 0 if s.negated else direction > 0
-        if forward:
-            return False  # block gaps grow without bound
-        return s.left.kind == "periodic"
-    if isinstance(s, PointwiseSet):
-        # downward: a full ray below 2 minus finite edits; upward: no two
-        # consecutive integers beyond 4 are both prime, so gaps stay <= 2
-        return True
+        # blocks past int64 are never evaluated, and a reflected family is
+        # not searched from INT64_MIN, whose reflection is no int64
+        u = s.inner(t)
+        if u > INT64_MAX or (s.negated and t == INT64_MIN):
+            raise OverflowError(f"search from {t} needs blocks beyond the 64-bit range")
+        e = -d if s.negated else d
+        found = None
+        while found is None and (b := _base_next(s, u, e)) is not None:
+            found = s.outer(b)
+            if found in s.removes:
+                found, u = None, b + e
+        adds = s.adds if d > 0 else reversed(s.adds)
+        add = next((a for a in adds if d * (a - t) >= 0 and a not in s.removes), None)
+        return _nearer(d, (found, add))
     if isinstance(s, UnionSet):
-        return any(gaps_bounded_toward(p, direction) for p in s.parts)
-    return False
+        return _nearer(d, (_nearest(p, t, d) for p in s.parts))
+    raise BadParamsError(f"unknown descriptor {type(s).__name__}")
+
+
+def _nearest_int64(s: IntSet, t: int, d: int) -> int | None:
+    """_nearest from an int64 bound; OverflowError for an element outside
+    int64.  A finite set is bisected directly: the greedy cover asks this
+    once per uncovered target."""
+    check_i64(t, "bound")
+    if isinstance(s, FiniteSet):
+        return _sorted_next(s.elements, t, d)
+    c = _nearest(s, t, d)
+    return c if c is None else check_i64(c, "nearest element")
+
+
+def min_element_ge(s: IntSet, t: int) -> int | None:
+    """Smallest element of s that is >= t, or None if there is none."""
+    return _nearest_int64(s, t, 1)
+
+
+def max_element_le(s: IntSet, t: int) -> int | None:
+    """Largest element of s that is <= t, or None if there is none."""
+    return _nearest_int64(s, t, -1)
+
+
+def min_element(s: IntSet) -> int | None:
+    """Smallest element, or None when unbounded below."""
+    s = normalize(s)
+    return _nearest_int64(s, INT64_MIN, 1) if _toward(s, -1)[0] else None
+
+
+def _walk(s: IntSet, t: int, d: int):
+    """The elements of s from t on in direction d, up to the end of int64."""
+    while INT64_MIN <= t <= INT64_MAX:
+        c = _nearest(s, t, d)
+        if c is None or not INT64_MIN <= c <= INT64_MAX:
+            return
+        yield c
+        t = c + d
+
+
+def smallest_abs_elements(s: IntSet, count: int) -> list[int]:
+    """Up to ``count`` elements ordered by absolute value, ties negative
+    first: a merge of a walk up from 0 and a walk down from -1, each ending
+    at the end of int64."""
+    both = heapq.merge(_walk(s, 0, 1), _walk(s, -1, -1), key=lambda t: (abs(t), t > 0))
+    return list(itertools.islice(both, count))

@@ -443,8 +443,7 @@ def _removal_candidates(nc: IntSet) -> list[int] | None:
     if isinstance(nc, CofiniteSet):
         # a cofinite set minus one point is still cofinite, so the first
         # sampled removal already decides; sampling can never certify true
-        bound = max((abs(e) for e in nc.excluded), default=0) + 4
-        return smallest_abs_elements(nc, 3, bound)
+        return smallest_abs_elements(nc, 3)
     return None
 
 

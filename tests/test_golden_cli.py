@@ -138,6 +138,11 @@ _EMPTY_INTERIOR = [
      "--window=0:10", "--radius", "100"],
 ]
 
+# every uncovered point lies past 10^6
+_FAR_WITNESSES = [
+    ["check", "--w", "below(2000000)", "--c", "finite{0}", "--predicate", "complement"],
+]
+
 
 def _both_formats(cases: list[list[str]]) -> list[list[str]]:
     return [argv + fmt for argv in cases for fmt in ([], ["--json"])]
@@ -145,7 +150,7 @@ def _both_formats(cases: list[list[str]]) -> list[list[str]]:
 
 CASES = (
     _both_formats(_CASES) + _ERRORS + _both_formats(_FAR_AND_EDITED) + _RANGE_ERRORS
-    + _EMPTY_INTERIOR
+    + _EMPTY_INTERIOR + _FAR_WITNESSES
 )
 
 
@@ -182,6 +187,23 @@ def test_golden_cli(idx):
 def test_golden_corpus_exercises_every_exit_code():
     codes = {case["exit"] for case in _load()}
     assert {0, 1, 2, 64, 65} <= codes
+
+
+def _false_verdict_witnesses(case: dict) -> list | None:
+    """The witnesses of a ``check`` that printed a false verdict, else None."""
+    if case["argv"][0] != "check" or not case["stdout"]:
+        return None
+    if "--json" in case["argv"]:
+        verdict = json.loads(case["stdout"])
+        return verdict["witnesses"] if verdict["status"] == "false" else None
+    fields = dict(line.split("\t", 1) for line in case["stdout"].splitlines())
+    return fields["witnesses"].split(",") if fields["status"] == "false" else None
+
+
+def test_golden_false_verdicts_name_witnesses():
+    """A false verdict promises at least one uncovered point, in both formats."""
+    falses = [w for w in map(_false_verdict_witnesses, _load()) if w is not None]
+    assert falses and all(w and w != [""] for w in falses)
 
 
 if __name__ == "__main__":

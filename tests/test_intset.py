@@ -1,6 +1,7 @@
 """Descriptor membership, enumeration, normalization, and classification."""
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import replace
 
@@ -15,10 +16,12 @@ from addcomp.intset import (
     INT64_MIN,
     BEPSet,
     CofiniteSet,
+    EditedSet,
     FamilySet,
     FiniteSet,
     Lemma43Rule,
     TailSpec,
+    UnionSet,
     Window,
     above,
     ap,
@@ -30,17 +33,22 @@ from addcomp.intset import (
     enumerate_window,
     finite,
     gap_sequence,
+    gaps_bounded_toward,
     generic_family,
     integers,
     is_prime,
     lemma43_set,
     lemma44_set,
     make_bep,
+    max_element_le,
+    min_element,
+    min_element_ge,
     minus,
     negate,
     nonprimes,
     normalize,
     prime_flags,
+    runs_unbounded_toward,
     smallest_abs_elements,
     subgroup_set,
     translate,
@@ -362,3 +370,187 @@ def test_enumerate_families_match_member(data):
         assert isinstance(got, tuple) and got[0] is want[0]
     else:
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# nearest elements and tail shape against per-point membership
+
+_REACH = 150
+
+
+def _closed(data, centre):
+    """A closed-form set (finite, cofinite, a ray, a residue class cut to a
+    side, or a union of two of these) with its structure near centre."""
+    near = st.integers(max(centre - 30, INT64_MIN), min(centre + 30, INT64_MAX))
+    kind = data.draw(st.sampled_from(["finite", "cofinite", "ap", "below", "above", "union"]))
+    if kind == "finite":
+        return finite(data.draw(st.sets(near, min_size=1, max_size=5)))
+    if kind == "cofinite":
+        return cofinite(data.draw(st.sets(near, max_size=5)))
+    if kind == "ap":
+        mod = data.draw(st.integers(1, 12))
+        side = data.draw(st.sampled_from(["below", "above"]))
+        return ap(data.draw(st.integers(0, mod - 1)), mod, side, data.draw(near))
+    if kind in ("below", "above"):
+        return (below if kind == "below" else above)(data.draw(near))
+    return union(_closed(data, centre), _closed(data, centre))
+
+
+def _any_set(data):
+    """A set of any kind with a range of points to query it at: closed
+    forms, translated, reflected and edited families and nonprimes, and
+    unions, near 0 or near either end of int64."""
+    kind = data.draw(st.sampled_from(["closed", "family", "generic", "nonprimes", "union"]))
+    if kind == "closed":
+        centre = data.draw(_ENDS)
+        s = _closed(data, centre)
+        return s, (max(centre - 40, INT64_MIN), min(centre + 40, INT64_MAX))
+    if kind in ("generic", "union"):
+        # generic blocks are evaluated one by one, and folding a union
+        # enumerates the band between its parts, so both stay near 0
+        base = data.draw(st.sampled_from([
+            generic_family("k", "k+1", 3), generic_family("2*k+1", "3*k", -7),
+            lemma43_set(), blocks10_family(True), nonprimes()]))
+        s, win = _edited(data, base, st.integers(-40, 40), st.integers(-300, 300))
+        if kind == "union":
+            s = UnionSet((s, _closed(data, win.lo)))
+    elif kind == "nonprimes":
+        s, win = _edited(data, nonprimes(), _ENDS, _ENDS)
+    else:
+        base = data.draw(st.sampled_from(
+            [lemma43_set(), lemma44_set(), blocks10_family(), blocks10_family(True)]))
+        s, win = _edited(data, base, _ENDS, _ENDS)
+    return s, (max(win.lo - 20, INT64_MIN), min(win.hi + 20, INT64_MAX))
+
+
+def _membership(s):
+    """Per-point membership of s, memoized; the exception type where
+    membership raises.  Points past the int64 ends are asked too."""
+
+    @functools.cache
+    def at(t):
+        try:
+            return s.member(t)
+        except (OverflowError, ToolkitError) as e:
+            return type(e)
+
+    return at
+
+
+def _scan(at, t, d):
+    """The first point from t in direction d, within _REACH steps, that is a
+    member or whose membership raises; None when there is none."""
+    return next((c for c in range(t, t + d * (_REACH + 1), d) if at(c) is not False), None)
+
+
+def _base_undecided(s, t, c, d):
+    """Whether an edited set's walk may raise before reaching c: its base
+    is undecidable somewhere from t to c, or s is reflected and searched
+    from INT64_MIN, whose reflection is not an int64."""
+    if isinstance(s, UnionSet):
+        return any(_base_undecided(p, t, c, d) for p in s.parts)
+    if not isinstance(s, EditedSet):
+        return False
+    if s.negated and t == INT64_MIN:
+        return True
+    for x in range(t, c + d, d):
+        try:
+            s.base_member(s.inner(x))
+        except (OverflowError, ToolkitError):
+            return True
+    return False
+
+
+def _check_nearest(s, at, t, d):
+    query = min_element_ge if d > 0 else max_element_le
+    got = _outcome(lambda: query(s, t))
+    c = _scan(at, t, d)
+    if isinstance(s, UnionSet):
+        # the nearer of the parts' answers, raising where one of them raises
+        parts = [_outcome(lambda p=p: query(p, t)) for p in s.parts]
+        if any(isinstance(v, tuple) for v in parts):
+            assert isinstance(got, tuple)
+            return
+        values = [v for v in parts if v is not None]
+        assert got == ((min if d > 0 else max)(values) if values else None)
+    if c is None:
+        # nothing within reach: none at all, or one farther out
+        assert got is None or isinstance(got, tuple) or (
+            d * (got - t) > _REACH and at(got) is True)
+    elif at(c) is not True:
+        assert isinstance(got, tuple) and got[0] is at(c), (t, d, c, got)
+    elif not INT64_MIN <= c <= INT64_MAX:
+        assert isinstance(got, tuple) and got[0] is OverflowError, (t, d, c, got)
+    elif got != c:
+        assert isinstance(got, tuple) and _base_undecided(s, t, c, d), (t, d, c, got)
+
+
+def _far_window(s, d):
+    """Points beyond every int64 edit, core and shifted tail threshold;
+    None toward a family's blocks, which are not evaluable that far."""
+    parts = s.parts if isinstance(s, UnionSet) else (s,)
+    if any(isinstance(p, FamilySet) and (d < 0) == p.negated for p in parts):
+        return None
+    x = d * 2**64
+    return range(x, x + 240) if d > 0 else range(x - 239, x + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_nearest_and_tail_shape_match_membership(data):
+    s, (lo, hi) = _any_set(data)
+    at = _membership(s)
+    bounds = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=4))
+    for t in bounds:
+        for d in (1, -1):
+            _check_nearest(s, at, t, d)
+
+    ns = _outcome(lambda: normalize(s))
+    if isinstance(ns, tuple):
+        # an edit where the base is undecidable: no shape to compare
+        return
+    cls = classify(ns)
+    at_ns = _membership(ns)  # a fold may drop a part that is costly far out
+    m = _outcome(lambda: min_element(s))
+    assert (m is not None) == cls.bounded_below
+    if isinstance(m, int):
+        assert at(m) is True
+        assert all(at(x) is False for x in range(m - _REACH, m))
+        assert m == min_element_ge(s, INT64_MIN)
+
+    closed = isinstance(ns, (FiniteSet, CofiniteSet, BEPSet))
+    for d, bounded in ((1, cls.bounded_above), (-1, cls.bounded_below)):
+        runs, gaps = runs_unbounded_toward(s, d), gaps_bounded_toward(s, d)
+        far = _far_window(ns, d)
+        flags = [at_ns(x) for x in far or ()]
+        if far is None or not all(isinstance(f, bool) for f in flags):
+            continue
+        assert not (bounded and any(flags))
+        assert not (gaps and not any(flags))
+        if closed:
+            assert (bounded, runs, gaps) == (not any(flags), all(flags), any(flags))
+        elif not isinstance(ns, UnionSet):
+            assert runs or not all(flags)
+
+    # the count nearest 0 by absolute value, ties negative first
+    near0 = range(-_REACH, _REACH + 1)
+    if all(isinstance(at(x), bool) for x in near0):
+        scanned = sorted((x for x in near0 if at(x)), key=lambda x: (abs(x), x > 0))
+        got = _outcome(lambda: smallest_abs_elements(s, 6))
+        if len(scanned) >= 6:
+            assert got == scanned[:6]
+        elif isinstance(got, list):
+            assert got[: len(scanned)] == scanned and len(got) <= 6
+            rest = got[len(scanned):]
+            assert all(abs(x) > _REACH and at(x) is True for x in rest)
+            assert rest == sorted(rest, key=lambda x: (abs(x), x > 0))
+
+
+@pytest.mark.parametrize("query, s, t", [
+    (min_element_ge, cofinite([INT64_MAX]), INT64_MAX),
+    (min_element_ge, ap(0, 10, "above", 0), INT64_MAX),
+    (max_element_le, ap(3, 10, "below", 0), INT64_MIN),
+])
+def test_nearest_element_outside_int64_raises(query, s, t):
+    with pytest.raises(OverflowError):
+        query(s, t)

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomp.errors import EmptySetError, RadiusTooSmallError, UndecidablePairError
 from addcomp.intset import (
+    INT64_MAX,
     FiniteSet,
     Window,
     above,
@@ -326,6 +328,25 @@ def test_false_witnesses_recheck():
         if v.is_false:
             for t in v.witnesses:
                 assert pointwise_hit(w, c, t) is False
+
+
+@pytest.mark.parametrize("w, want, predicates", [
+    # every uncovered point lies past 10^6
+    (below(2_000_000), tuple(range(2_000_000, 2_000_008)),
+     (is_complement, is_asymptotic_complement)),
+    (union(below(1_500_000), above(1_500_002)), (1_500_000, 1_500_001, 1_500_002),
+     (is_complement,)),
+    # the uncovered points end at the end of int64
+    (below(INT64_MAX - 2), (INT64_MAX - 2, INT64_MAX - 1, INT64_MAX),
+     (is_complement, is_asymptotic_complement)),
+])
+def test_false_verdict_names_the_nearest_uncovered_points(w, want, predicates):
+    c = finite([0])
+    for predicate in predicates:
+        v = predicate(w, c)
+        assert v.is_false and v.exact
+        assert v.witnesses == want
+        assert all(pointwise_hit(w, c, t) is False for t in v.witnesses)
 
 
 def test_congruent_removal_keeps_cofiniteness():
