@@ -96,7 +96,7 @@ def check_nonprime_minimality(rng: random.Random) -> tuple[bool, str]:
         return False, f"minimal-AC verdict {mac.status} removals {mac.removals}"
     mc = is_minimal_complement(w, finite([-1, 0, 1]))
     first = {x: wit[0] for x, wit in mc.removals if wit}
-    if not (mc.is_true and not mc.exact):
+    if not (mc.is_true and mc.exact):
         return False, f"minimal-complement verdict {mc.status} exact {mc.exact}"
     if first != {-1: 3, 0: 4, 1: 2}:
         return False, f"removal witnesses {first}"
@@ -262,10 +262,7 @@ def check_ray_family_shrinks(rng: random.Random) -> tuple[bool, str]:
                     f"variant {variant} case {case}: removing {cert.removed} "
                     f"flipped to {after.status}"
                 )
-            mb = windowed_sumset(w, c, big)
-            ma = windowed_sumset(w, shrunk, big)
-            gaps_before = set(mb.uncovered_interior())
-            loss = [t for t in ma.uncovered_interior() if t not in gaps_before]
+            loss, _, _ = removal_growth(w, c, {cert.removed}, big)
             stray = [t for t in loss if t not in cert.loss_bound]
             if stray:
                 return False, f"variant {variant} case {case}: loss escaped at {stray[:4]}"

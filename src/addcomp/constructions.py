@@ -57,8 +57,9 @@ from .predicates import (
     is_complement,
     is_minimal_asymptotic_complement,
     is_minimal_complement,
+    removal_growth,
 )
-from .sumset import complement_set, flag_points, windowed_sumset
+from .sumset import complement_set
 
 
 @dataclass(frozen=True)
@@ -421,19 +422,18 @@ def interval_shrink(
     for extra in nw.adds:
         pts.append(b + extra)
     bound = Window(min(pts), max(pts))
-    shrunk = minus(c, {b})
-    _verify_loss_contained(nw, normalize(c), normalize(shrunk), bound)
-    return shrunk, ShrinkCertificate(removed=b, frame=(a, cc), loss_bound=bound)
+    _verify_loss_contained(nw, normalize(c), b, bound)
+    return minus(c, {b}), ShrinkCertificate(removed=b, frame=(a, cc), loss_bound=bound)
 
 
-def _verify_loss_contained(nw: IntSet, nc: IntSet, nshrunk: IntSet, bound: Window) -> None:
-    """Best-effort check that points covered before and not after all fall in
-    bound; skipped when no exact windowed route exists at reasonable cost."""
+def _verify_loss_contained(nw: IntSet, nc: IntSet, b: int, bound: Window) -> None:
+    """Best-effort check that points covered before removing b and not after
+    all fall in bound; skipped when no exact windowed route exists at
+    reasonable cost."""
     if len(bound) > 200_000 or not isinstance(nc, FiniteSet):
         return
-    vw = Window(bound.lo - 64, bound.hi + 64)
-    lost = windowed_sumset(nw, nc, vw).flags() & ~windowed_sumset(nw, nshrunk, vw).flags()
-    stray = [t for t in flag_points(lost, vw.lo) if t not in bound]
+    lost, _, _ = removal_growth(nw, nc, {b}, Window(bound.lo - 64, bound.hi + 64))
+    stray = [t for t in lost if t not in bound]
     if stray:
         raise ToolkitError(f"loss escaped the certificate bound at {stray[:4]}")
 

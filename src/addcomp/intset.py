@@ -1065,6 +1065,8 @@ def _fold_pair(a: IntSet, b: IntSet) -> IntSet | None:
         theta = min(b.left.threshold, inner_bep.core_lo)
         merged_left = _merge_patterns(b.left, inner_bep.left, theta)
         band_hi = max(b.left.threshold - 1, inner_bep.core_hi)
+        if band_hi - theta >= 1 << 16:
+            return None  # too wide to carry as adds; the union stays unfolded
         adds = list(b.adds)
         if theta <= band_hi:
             band = b.left.elements(theta, min(band_hi, b.left.threshold - 1))

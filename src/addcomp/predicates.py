@@ -34,10 +34,9 @@ from .intset import (
     PointwiseSet,
     Window,
     enumerate_window,
-    is_infinite,
+    finite,
     is_prime,
     minus,
-    negate,
     normalize,
     rule_gap,
     smallest_abs_elements,
@@ -121,155 +120,51 @@ def _describe(s: IntSet) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# complement
+# exact routes
+#
+# Both predicates ask about one object, the exceptional set E = Z \ (w + c):
+# a complement leaves E empty, an asymptotic complement leaves it finite.
+# Each route answers for E on the pairs it knows, or passes with None.
 
 
-def is_complement(
-    w: IntSet, c: IntSet, window: Window | None = None, radius: int | None = None
-) -> Verdict:
-    """Is w + c all of Z?"""
-    nw, nc = normalize(w), normalize(c)
-    if closed_form(nw) and closed_form(nc):
-        comp = complement_set(bep_sumset(nw, nc))
-        if comp is None:
-            return Verdict("true", True, evidence=(), detail="sumset covers every integer")
-        return Verdict(
-            "false",
-            True,
-            witnesses=order_witnesses(smallest_abs_elements(comp, 8)),
-            family=_describe(comp),
-            detail="uncovered set computed in closed form",
-        )
-    win = window or DEFAULT_WINDOW
-    try:
-        mask = windowed_sumset(nw, nc, win, radius)
-    except (UndecidablePairError, RadiusTooSmallError) as e:
-        return Verdict("unknown", False, window=win, detail=str(e))
-    if mask.interior_margin == 0 and mask.covered_count() == len(win):
-        # structural full-coverage routes land here with margin 0
-        exact = _provably_full(nw, nc)
+def _closed_form_route(nw: IntSet, nc: IntSet, window: Window) -> Verdict | None:
+    if not (closed_form(nw) and closed_form(nc)):
+        return None
+    comp = complement_set(bep_sumset(nw, nc))
+    if comp is None:
+        return Verdict("true", True, evidence=(), detail="no exceptional points")
+    comp = normalize(comp)
+    if isinstance(comp, FiniteSet):
         return Verdict(
             "true",
-            exact,
-            evidence=() if exact else None,
-            window=None if exact else win,
-            detail="full coverage by the long-runs argument" if exact else "no gap on the window",
-        )
-    if mask.interior() is None:
-        return _no_interior(mask)
-    bad = mask.uncovered_interior()
-    if bad:
-        exact = mask.interior_margin == 0
-        return Verdict(
-            "false",
-            exact,
-            witnesses=order_witnesses(bad),
-            window=win,
-            detail="uncovered points are exact" if exact else (
-                f"uncovered inside the trusted interior (margin {mask.interior_margin})"
-            ),
-        )
-    # nothing is uncovered on the trusted interior, so every gap is an edge gap
-    edge = mask.uncovered()
-    return Verdict(
-        "true",
-        False,
-        window=win,
-        detail="covered on the trusted interior"
-        + (f"; {len(edge)} untrusted edge gaps" if edge else ""),
-    )
-
-
-def _no_interior(mask) -> Verdict:
-    """An empty trusted interior is no evidence either way."""
-    return Verdict(
-        "unknown",
-        False,
-        window=mask.window,
-        detail=f"the enumeration margin {mask.interior_margin} leaves no trusted interior",
-    )
-
-
-def _provably_full(nw: IntSet, nc: IntSet) -> bool:
-    for x, y in ((nw, nc), (nc, nw)):
-        if isinstance(x, CofiniteSet) and not x.excluded:
-            return True
-        if isinstance(x, CofiniteSet) and is_infinite(y):
-            return True
-    return _full_coverage_provable(nw, nc)
-
-
-# ---------------------------------------------------------------------------
-# asymptotic complement
-
-
-def asymptotic_exceptional_set(
-    w: IntSet, c: IntSet, window: Window | None = None, radius: int | None = None
-) -> Verdict:
-    """Verdict on whether Z minus (w + c) is finite, with the exceptional
-    set as evidence when it is exactly computable."""
-    nw, nc = normalize(w), normalize(c)
-    if closed_form(nw) and closed_form(nc):
-        comp = complement_set(bep_sumset(nw, nc))
-        if comp is None:
-            return Verdict("true", True, evidence=(), detail="no exceptional points")
-        comp = normalize(comp)
-        if isinstance(comp, FiniteSet):
-            return Verdict(
-                "true",
-                True,
-                evidence=comp.elements,
-                detail=f"{len(comp.elements)} exceptional points",
-            )
-        return Verdict(
-            "false",
             True,
-            witnesses=order_witnesses(smallest_abs_elements(comp, 8)),
-            family=_describe(comp),
-            detail="uncovered set is infinite, described by its closed form",
-        )
-    if _provably_full(nw, nc):
-        return Verdict("true", True, evidence=(), detail="full coverage by the long-runs argument")
-    v = _nonprime_route(nw, nc, window)
-    if v is not None:
-        return v
-    v = _block_gap_route(nw, nc)
-    if v is not None:
-        return v
-    win = window or DEFAULT_WINDOW
-    try:
-        mask = windowed_sumset(nw, nc, win, radius)
-    except (UndecidablePairError, RadiusTooSmallError) as e:
-        return Verdict("unknown", False, window=win, detail=str(e))
-    if mask.interior() is None:
-        return _no_interior(mask)
-    bad = mask.uncovered_interior()
-    if not bad:
-        return Verdict(
-            "true", False, window=win, detail="no gap on the trusted interior"
+            evidence=comp.elements,
+            detail=f"{len(comp.elements)} exceptional points",
         )
     return Verdict(
-        "unknown",
-        False,
-        witnesses=order_witnesses(bad),
-        window=win,
-        detail=(
-            f"{len(bad)} uncovered points on the trusted interior; "
-            "no exact route decides whether the global gap set is finite"
-        ),
+        "false",
+        True,
+        witnesses=order_witnesses(smallest_abs_elements(comp, 8)),
+        family=_describe(comp),
+        detail="uncovered set is infinite, described by its closed form",
     )
 
 
-def _pointwise_finite_pair(nw: IntSet, nc: IntSet):
+def _long_runs_route(nw: IntSet, nc: IntSet, window: Window) -> Verdict | None:
+    if not _full_coverage_provable(nw, nc):
+        return None
+    return Verdict("true", True, evidence=(), detail="full coverage by the long-runs argument")
+
+
+def _finite_pair(nw: IntSet, nc: IntSet, kind: type):
+    """The operand of the given kind and the finite one, or None."""
     for x, y in ((nw, nc), (nc, nw)):
-        if isinstance(x, PointwiseSet) and isinstance(y, FiniteSet):
+        if isinstance(x, kind) and isinstance(y, FiniteSet):
             return x, y
     return None
 
 
-def _nonprime_route(
-    nw: IntSet, nc: IntSet, window: Window | None
-) -> Verdict | None:
+def _nonprime_route(nw: IntSet, nc: IntSet, window: Window) -> Verdict | None:
     """Exact asymptotic answers for the nonprime set against a finite set.
 
     The sum covers a residue parity class wherever some shift lands on an
@@ -279,7 +174,7 @@ def _nonprime_route(
     primes (infinite).  Several shifts of one parity would need simultaneous
     prime values, which is open, so that case stays unknown.
     """
-    pair = _pointwise_finite_pair(nw, nc)
+    pair = _finite_pair(nw, nc, PointwiseSet)
     if pair is None:
         return None
     pw, fin = pair
@@ -334,13 +229,12 @@ def _nonprime_route(
             },
             detail="single shift leaves a translated copy of the primes uncovered",
         )
-    win = window or DEFAULT_WINDOW
-    bad = [t for t in win if not covered(t)]
+    bad = [t for t in window if not covered(t)]
     return Verdict(
         "unknown",
         False,
         witnesses=order_witnesses(bad),
-        window=win,
+        window=window,
         detail=(
             f"all shifts share one parity; finiteness of the gap set is a "
             f"simultaneous-primes question ({len(bad)} gaps on the window)"
@@ -348,33 +242,21 @@ def _nonprime_route(
     )
 
 
-def _family_finite_pair(nw: IntSet, nc: IntSet):
-    for x, y in ((nw, nc), (nc, nw)):
-        if isinstance(x, FamilySet) and isinstance(y, FiniteSet):
-            return x, y
-    return None
-
-
-def _block_gap_route(nw: IntSet, nc: IntSet) -> Verdict | None:
+def _block_gap_route(nw: IntSet, nc: IntSet, window: Window) -> Verdict | None:
     """A block family plus a finite set never covers cofinitely: once the
     between-block gaps outgrow the finite set's diameter, each gap keeps an
-    uncovered point."""
-    pair = _family_finite_pair(nw, nc)
+    uncovered point.
+
+    Gaps are scanned in outer coordinates, from the end next to block k
+    toward block k + 1, so a reflected family's gaps are scanned downward."""
+    pair = _finite_pair(nw, nc, FamilySet)
     if pair is None:
         return None
     fam, fin = pair
-    if fam.negated:
-        inner = _block_gap_route(normalize(negate(fam)), normalize(negate(fin)))
-        if inner is None:
-            return None
-        fam_desc = dict(inner.family or {})
-        fam_desc["mirrored"] = True
-        return replace(
-            inner,
-            witnesses=order_witnesses([-t for t in inner.witnesses]),
-            family=fam_desc,
-        )
+    d = -1 if fam.negated else 1
     span = fin.elements[-1] - fin.elements[0]
+    # t - c lies in the gap for every c in fin from t_start to t_stop
+    near, far = (fin.elements[-1], fin.elements[0])[::d]
     witnesses: list[int] = []
     first_k = None
     for k in range(1, min(fam.rule.max_k(), 200_000)):
@@ -385,26 +267,132 @@ def _block_gap_route(nw: IntSet, nc: IntSet) -> Verdict | None:
             continue
         if first_k is None:
             first_k = k
-        t_lo = g_lo + fam.shift + fin.elements[-1]
-        t_hi = g_hi + fam.shift + fin.elements[0]
-        for t in range(t_lo, t_hi + 1):
+        t_start, t_stop = fam.outer(g_lo) + near, fam.outer(g_hi) + far
+        for t in range(t_start, t_stop + d, d):
             if not any(fam.member(t - c) for c in fin.elements):
                 witnesses.append(t)
                 break
     if first_k is None or not witnesses:
         return None
+    family = {"kind": "block_gaps", "rule": fam.rule.params(), "firstGapIndex": first_k}
+    if fam.negated:
+        family["mirrored"] = True
     return Verdict(
         "false",
         True,
-        witnesses=tuple(witnesses),
-        family={
-            "kind": "block_gaps",
-            "rule": fam.rule.params(),
-            "firstGapIndex": first_k,
-        },
+        # a reflected family's witnesses are ordered by absolute value, an
+        # unreflected one's in gap order
+        witnesses=order_witnesses(witnesses) if fam.negated else tuple(witnesses),
+        family=family,
         detail=(
             "between-block gaps outgrow the finite diameter from index "
             f"{first_k}; one uncovered point per later gap"
+        ),
+    )
+
+
+_ROUTES = (_closed_form_route, _long_runs_route, _nonprime_route, _block_gap_route)
+
+
+def _mask(nw: IntSet, nc: IntSet, window: Window, radius: int | None) -> CoverageMask | Verdict:
+    """The coverage mask of w + c on the window, or an unknown verdict when
+    there is none or its trusted interior is empty."""
+    try:
+        mask = windowed_sumset(nw, nc, window, radius)
+    except (UndecidablePairError, RadiusTooSmallError) as e:
+        return Verdict("unknown", False, window=window, detail=str(e))
+    if mask.interior() is None:
+        detail = f"the enumeration margin {mask.interior_margin} leaves no trusted interior"
+        return Verdict("unknown", False, window=window, detail=detail)
+    return mask
+
+
+# ---------------------------------------------------------------------------
+# complement
+
+
+def is_complement(
+    w: IntSet, c: IntSet, window: Window | None = None, radius: int | None = None
+) -> Verdict:
+    """Is w + c all of Z?
+
+    A closed form decides exactly.  Otherwise the window decides, and a
+    window with no gap at all is exact when a route proves E empty.
+    """
+    nw, nc = normalize(w), normalize(c)
+    win = window or DEFAULT_WINDOW
+    v = _closed_form_route(nw, nc, win)
+    if v is not None:
+        if v.evidence == ():
+            return Verdict("true", True, evidence=(), detail="sumset covers every integer")
+        if v.is_true:  # E is finite, so its points nearest 0 are the witnesses
+            witnesses, family = order_witnesses(v.evidence), _describe(finite(v.evidence))
+        else:
+            witnesses, family = v.witnesses, v.family
+        return Verdict(
+            "false",
+            True,
+            witnesses=witnesses,
+            family=family,
+            detail="uncovered set computed in closed form",
+        )
+    mask = _mask(nw, nc, win, radius)
+    if isinstance(mask, Verdict):
+        return mask
+    bad = mask.uncovered_interior()
+    exact = mask.interior_margin == 0
+    if bad:
+        return Verdict(
+            "false",
+            exact,
+            witnesses=order_witnesses(bad),
+            window=win,
+            detail="uncovered points are exact" if exact else (
+                f"uncovered inside the trusted interior (margin {mask.interior_margin})"
+            ),
+        )
+    if exact:
+        # the routes after the closed form that can prove E empty
+        for route in (_long_runs_route, _nonprime_route):
+            v = route(nw, nc, win)
+            if v is not None and v.exact and v.evidence == ():
+                return replace(v, window=win)
+        return Verdict("true", False, window=win, detail="no gap on the window")
+    # nothing is uncovered on the trusted interior, so every gap is an edge gap
+    edge = len(mask.uncovered())
+    detail = "covered on the trusted interior" + (f"; {edge} untrusted edge gaps" if edge else "")
+    return Verdict("true", False, window=win, detail=detail)
+
+
+# ---------------------------------------------------------------------------
+# asymptotic complement
+
+
+def asymptotic_exceptional_set(
+    w: IntSet, c: IntSet, window: Window | None = None, radius: int | None = None
+) -> Verdict:
+    """Verdict on whether Z minus (w + c) is finite, with the exceptional
+    set as evidence when it is exactly computable."""
+    nw, nc = normalize(w), normalize(c)
+    win = window or DEFAULT_WINDOW
+    for route in _ROUTES:
+        v = route(nw, nc, win)
+        if v is not None:
+            return v
+    mask = _mask(nw, nc, win, radius)
+    if isinstance(mask, Verdict):
+        return mask
+    bad = mask.uncovered_interior()
+    if not bad:
+        return Verdict("true", False, window=win, detail="no gap on the trusted interior")
+    return Verdict(
+        "unknown",
+        False,
+        witnesses=order_witnesses(bad),
+        window=win,
+        detail=(
+            f"{len(bad)} uncovered points on the trusted interior; "
+            "no exact route decides whether the global gap set is finite"
         ),
     )
 

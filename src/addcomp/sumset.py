@@ -40,14 +40,13 @@ from .intset import (
     TailSpec,
     UnionSet,
     Window,
+    _toward,
     cofinite,
     enumerate_window,
     finite,
-    gaps_bounded_toward,
     is_infinite,
     make_bep,
     normalize,
-    runs_unbounded_toward,
 )
 
 # ---------------------------------------------------------------------------
@@ -360,38 +359,26 @@ def complement_set(s: IntSet) -> IntSet | None:
 
 
 def _full_coverage_provable(a: IntSet, b: IntSet) -> bool:
-    """True when a + b = Z by the long-runs argument: one operand contains
-    intervals of unbounded length toward some direction and the other has
-    bounded gaps toward the opposite direction."""
-    for d in (1, -1):
-        if runs_unbounded_toward(a, d) and gaps_bounded_toward(b, -d):
+    """True when a + b = Z is provable without enumeration, for normalized
+    a and b: a cofinite operand against an infinite one (or the full set
+    against any), or the long-runs argument: one operand contains intervals
+    of unbounded length toward some direction and the other has bounded
+    gaps toward the opposite direction."""
+    for x, y in ((a, b), (b, a)):
+        if isinstance(x, CofiniteSet) and (not x.excluded or is_infinite(y)):
             return True
-        if runs_unbounded_toward(b, d) and gaps_bounded_toward(a, -d):
-            return True
+        for d in (1, -1):
+            if _toward(x, d)[1] and _toward(y, -d)[2]:
+                return True
     return False
 
 
 def pointwise_hit(a: IntSet, b: IntSet, t: int) -> bool | None:
     """Does t lie in a + b?  None when undecidable with the exact routes."""
-    na, nb = normalize(a), normalize(b)
-    for x, y in ((na, nb), (nb, na)):
-        if isinstance(x, FiniteSet):
-            return any((t - e) in y for e in x.elements)
-        if isinstance(x, CofiniteSet) and is_infinite(y):
-            return True
-    if _parts(na) is not None and _parts(nb) is not None:
-        return t in bep_sumset(na, nb)
-    if _full_coverage_provable(na, nb):
-        return True
-    for x, y in ((na, nb), (nb, na)):
-        if isinstance(x, UnionSet):
-            hits = [pointwise_hit(p, y, t) for p in x.parts]
-            if any(h is True for h in hits):
-                return True
-            if all(h is False for h in hits):
-                return False
-            return None
-    return None
+    try:
+        return windowed_sumset(a, b, Window(t, t)).covered(t)
+    except UndecidablePairError:
+        return None
 
 
 def _shifted_union_bits(y: IntSet, shifts: Sequence[int], window: Window) -> int:
@@ -434,10 +421,10 @@ def windowed_sumset(
     """Coverage of a + b over the window.
 
     Exact (margin 0) whenever a closed route exists: both operands in closed
-    form, either operand finite, a cofinite operand against an infinite one,
-    or provable full coverage.  Otherwise the second operand is enumerated
-    within [-radius, radius] and the margin records the largest |element|
-    used; with no radius the pair is rejected as undecidable.
+    form, either operand finite, or provable full coverage.  Otherwise the
+    second operand is enumerated within [-radius, radius] and the margin
+    records the largest |element| used; with no radius the pair is rejected
+    as undecidable.
     """
     na, nb = normalize(a), normalize(b)
     if _parts(na) is not None and _parts(nb) is not None:
@@ -445,8 +432,6 @@ def windowed_sumset(
     for x, y in ((na, nb), (nb, na)):
         if isinstance(x, FiniteSet):
             return CoverageMask(window, _shifted_union_bits(y, x.elements, window), 0)
-        if isinstance(x, CofiniteSet) and is_infinite(y):
-            return CoverageMask(window, (1 << len(window)) - 1, 0)
     if _full_coverage_provable(na, nb):
         return CoverageMask(window, (1 << len(window)) - 1, 0)
     for x, y in ((na, nb), (nb, na)):

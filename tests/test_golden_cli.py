@@ -144,13 +144,33 @@ _FAR_WITNESSES = [
 ]
 
 
+# a reflected block family: the block-gap route reads the gaps in outer
+# coordinates
+_REFLECTED_BLOCK_GAPS = [
+    ["check", "--w", "neg(family(blocks10))", "--c", "finite{0,1,3}", "--predicate", "aes"],
+]
+
+# a union the fold cannot carry as edits stays a union
+_WIDE_UNION = [
+    ["eval", "--set", "union(family(blocks10), below(1000000000000))", "--window=0:5"],
+]
+
+# the nonprime route proves the exceptional set empty, so the window's true
+# is exact
+_ROUTE_PROVED = [
+    ["check", "--w", NP, "--c", "finite{0,1,3}", "--predicate", "complement"],
+    ["check", "--w", NP, "--c", "finite{0,1,3}", "--predicate", "mc"],
+]
+
+
 def _both_formats(cases: list[list[str]]) -> list[list[str]]:
     return [argv + fmt for argv in cases for fmt in ([], ["--json"])]
 
 
 CASES = (
     _both_formats(_CASES) + _ERRORS + _both_formats(_FAR_AND_EDITED) + _RANGE_ERRORS
-    + _EMPTY_INTERIOR + _FAR_WITNESSES
+    + _EMPTY_INTERIOR + _FAR_WITNESSES + _both_formats(_REFLECTED_BLOCK_GAPS)
+    + _both_formats(_WIDE_UNION) + _both_formats(_ROUTE_PROVED)
 )
 
 

@@ -24,6 +24,7 @@ from addcomp.intset import (
     lemma43_set,
     lemma44_set,
     minus,
+    negate,
     nonprimes,
     normalize,
     subgroup_set,
@@ -48,7 +49,7 @@ from addcomp.sumset import pointwise_hit, windowed_sumset
 def test_complement_nonprimes_triple():
     v = is_complement(nonprimes(), finite([0, 1, -1]), Window(-10**4, 10**4))
     assert v.is_true
-    assert not v.exact  # window grade for pointwise sets
+    assert v.exact  # the nonprime route proves the exceptional set empty
     assert v.witnesses == ()
     assert v.window is not None
 
@@ -108,7 +109,7 @@ def test_ac_residue_cover():
 def test_minimal_complement_nonprimes():
     v = is_minimal_complement(nonprimes(), finite([-1, 0, 1]))
     assert v.is_true
-    assert not v.exact
+    assert v.exact
     by_removed = {x: w for x, w in v.removals}
     assert by_removed[-1][0] == 3
     assert by_removed[0][0] == 4
@@ -237,6 +238,49 @@ def _finite_vs_other(draw):
     if draw(st.booleans()):
         return fin, other, win
     return other, fin, win
+
+
+@st.composite
+def _edited(draw, s):
+    """s shifted, reflected or edited by a few points near 0, in any order."""
+    for op in draw(st.lists(st.sampled_from(["shift", "neg", "minus", "add"]), max_size=3)):
+        if op == "shift":
+            s = translate(s, draw(st.integers(-30, 30)))
+        elif op == "neg":
+            s = negate(s)
+        else:
+            pts = draw(st.lists(st.integers(-20, 40), min_size=1, max_size=3))
+            s = minus(s, pts) if op == "minus" else union(s, finite(pts))
+    return s
+
+
+@st.composite
+def _w_against_finite(draw):
+    kind = draw(st.sampled_from(["nonprimes", "family", "cofinite", "two_tailed"]))
+    if kind == "nonprimes":
+        return draw(_edited(nonprimes()))
+    if kind == "family":
+        fam = draw(st.sampled_from([blocks10_family(), blocks10_family(True), lemma43_set()]))
+        if draw(st.booleans()):
+            fam = union(fam, below(draw(st.integers(-20, 5))))
+        return draw(_edited(fam))
+    if kind == "cofinite":
+        return cofinite(draw(st.lists(st.integers(-8, 8), max_size=4)))
+    m1, m2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    left = ap(draw(st.integers(0, m1 - 1)), m1, "below", draw(st.integers(-10, 10)))
+    right = ap(draw(st.integers(0, m2 - 1)), m2, "above", draw(st.integers(-10, 10)))
+    return draw(_edited(union(left, right)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_w_against_finite(), st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
+def test_exact_complement_iff_exceptional_set_proved_empty(w, cs):
+    """Both predicates read one exceptional set E: complement is exact true
+    exactly when the asymptotic verdict proves E empty."""
+    win = Window(-150, 150)
+    comp = is_complement(w, finite(cs), win)
+    aes = asymptotic_exceptional_set(w, finite(cs), win)
+    assert (comp.is_true and comp.exact) == (aes.is_true and aes.exact and aes.evidence == ())
 
 
 @settings(max_examples=200, deadline=None)
